@@ -99,9 +99,9 @@ def blocks(
         init.append(_ga("hold", holding))
     else:
         init.append(_ga("handempty"))
-    if goal[0] == "clear":
+    if goal[0] == "clear" and len(goal) == 2:
         goal_pos = (_ga("clear", goal[1]),)
-    elif goal[0] == "on":
+    elif goal[0] == "on" and len(goal) == 3:
         goal_pos = (_ga("on", goal[1], goal[2]),)
     else:
         raise DomainError(f"unsupported blocks goal {goal!r}")
@@ -532,12 +532,15 @@ def hanoi_odd(n_disks: int) -> Bundle:
 
 
 def generate(family: str, params: dict[str, str]) -> Bundle:
-    def ints(key, default=None):
+    def text(key):
         if key not in params:
-            if default is None:
-                raise DomainError(f"missing parameter '{key}'")
+            raise DomainError(f"missing parameter '{key}'")
+        return params[key]
+
+    def ints(key, default=None):
+        if key not in params and default is not None:
             return default
-        return int(params[key])
+        return int(text(key))
 
     if family == "blocks-clear":
         held = params.get("held")
@@ -545,20 +548,20 @@ def generate(family: str, params: dict[str, str]) -> Bundle:
     if family == "blocks-on":
         return blocks_on(ints("l"), ints("m"))
     if family == "blocks":
-        towers = [t.split(".") for t in params["towers"].split(";") if t]
-        goal = tuple(params["goal"].replace(":", ",").split(","))
+        towers = [t.split(".") for t in text("towers").split(";") if t]
+        goal = tuple(text("goal").replace(":", ",").split(","))
         return blocks(towers, goal, holding=params.get("held"))
     if family == "grid":
         return grid(ints("width"), ints("height"), ints("start"), ints("goal"))
     if family == "grid2":
-        sx, sy = (int(v) for v in params["start"].split(","))
-        gx, gy = (int(v) for v in params["goal"].split(","))
+        sx, sy = (int(v) for v in text("start").split(","))
+        gx, gy = (int(v) for v in text("goal").split(","))
         return grid2(ints("width"), ints("height"), (sx, sy), (gx, gy))
     if family == "delivery":
-        cells = [int(v) for v in params["packages"].split(",") if v]
+        cells = [int(v) for v in text("packages").split(",") if v]
         return delivery(ints("width"), ints("height"), cells, ints("target"), ints("start"))
     if family == "marbles":
-        counts = [int(v) for v in params["counts"].split(",") if v]
+        counts = [int(v) for v in text("counts").split(",") if v]
         return marbles(counts)
     if family == "hanoi":
         return hanoi(ints("n"), ints("from", 1), ints("to", 3))

@@ -44,10 +44,16 @@ class TupleSet:
 
 @dataclass(frozen=True)
 class TupleUniverse:
-    """All tuples of 1..k atoms over an n-atom problem, never materialized."""
+    """All tuples of 1..k atoms over an n-atom problem, never materialized.
+
+    `fluent` is the mask of atoms that can change truth value; a novelty
+    table over the universe then tracks tuples of fluent atoms only.  None
+    means every atom is fluent.
+    """
 
     n_atoms: int
     k: int
+    fluent: State | None = None
 
     def __len__(self) -> int:
         return sum(comb(self.n_atoms, i) for i in range(1, self.k + 1))
@@ -60,7 +66,7 @@ class TupleUniverse:
 def all_tuples_up_to(problem: GroundProblem, k: int) -> TupleUniverse:
     if not 0 <= k <= problem.n_atoms:
         raise ValueError(f"k={k} out of range 0..{problem.n_atoms}")
-    return TupleUniverse(problem.n_atoms, k)
+    return TupleUniverse(problem.n_atoms, k, problem.fluent_mask)
 
 
 class NoveltyTable:
@@ -71,6 +77,13 @@ class NoveltyTable:
     `delta` (the atoms that flipped between the parent state and `s`) limits
     the check to tuples containing a flipped atom; this is only sound when
     the parent state was itself registered earlier.
+
+    Over a universe with a fluent mask, only tuples of fluent atoms are
+    kept.  The states one search registers all share their non-fluent atoms,
+    so a tuple holding a true non-fluent atom is new exactly when its fluent
+    part is, except in the first registered state, which is also novel when
+    it holds any non-fluent atom.  The verdicts are those of the full
+    universe.
     """
 
     def __init__(self, tracked: TupleSet | TupleUniverse):
@@ -80,9 +93,22 @@ class NoveltyTable:
             self._seen = [False] * len(self._masks)
         else:
             self._k = tracked.k
-            self._n = tracked.n_atoms
+            every = (1 << tracked.n_atoms) - 1
+            fluent = every if tracked.fluent is None else tracked.fluent
+            fluent_atoms = atoms_of(fluent)
+            n = len(fluent_atoms)
+            self._fluent = fluent
+            self._static = every & ~fluent  # None once a first state is registered
+            # dense ranks of the fluent atoms, monotone in atom id; None when
+            # every atom is fluent and ranks are atom ids
+            self._rank: list[int] | None = None
+            if n < tracked.n_atoms:
+                self._rank = [0] * tracked.n_atoms
+                for r, aid in enumerate(fluent_atoms):
+                    self._rank[aid] = r
+            self._n = n
             self._seen1 = 0
-            self._seen2 = bytearray(self._n * self._n) if tracked.k >= 2 else None
+            self._seen2 = bytearray(n * n) if tracked.k >= 2 else None
             self._seen_hi: set[tuple[int, ...]] = set()
 
     @staticmethod
@@ -113,6 +139,10 @@ class NoveltyTable:
 
     def _register_universe(self, s: State, delta: State | None) -> bool:
         novel = False
+        if self._static is not None:
+            novel = bool(s & self._static)
+            self._static = None
+        s &= self._fluent
         scope = s if delta is None else s & delta
         # size 1
         fresh = scope & ~self._seen1
@@ -121,11 +151,15 @@ class NoveltyTable:
             self._seen1 |= fresh
         if self._k < 2:
             return novel
-        # size 2
+        # size 2, over fluent ranks
         table = self._seen2
         n = self._n
+        rank = self._rank
         s_atoms = atoms_of(s)
         scope_atoms = s_atoms if delta is None else atoms_of(scope)
+        if rank is not None:
+            s_atoms = [rank[a] for a in s_atoms]
+            scope_atoms = s_atoms if delta is None else [rank[a] for a in scope_atoms]
         scope_set = set(scope_atoms)
         for i in scope_atoms:
             base = i * n

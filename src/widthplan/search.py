@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -36,14 +36,33 @@ class SearchStats:
     wall_ms: float = 0.0
 
 
+def sum_stats(parts) -> SearchStats:
+    """Counts and times added up over `parts`; `max_queue` is their maximum."""
+    total = SearchStats()
+    for st in parts:
+        total.expanded += st.expanded
+        total.generated += st.generated
+        total.max_queue = max(total.max_queue, st.max_queue)
+        total.novel += st.novel
+        total.pruned += st.pruned
+        total.pruned_duplicate += st.pruned_duplicate
+        total.wall_ms += st.wall_ms
+    return total
+
+
 @dataclass
 class SearchResult:
+    """`stats` are those of the search that produced the outcome; for the
+    iterated search `iw` that is the last IW(k) run, and `iterations` holds
+    the stats of every IW(k) run it made, in order."""
+
     outcome: Outcome
     plan: list[int] | None
     stats: SearchStats
     k: int | None = None
     reason: str | None = None
     goal_state: State | None = None
+    iterations: list[SearchStats] = field(default_factory=list)
 
     @property
     def solved(self) -> bool:
@@ -235,20 +254,23 @@ def iw(
     larger k would expand and prune exactly the same sets, so no plan exists.
     """
     top = problem.n_atoms if max_k is None else max_k
-    last = None
+    iterations: list[SearchStats] = []
     for k in range(top + 1):
         result = iw_k(problem, k, goal_test, start=start, max_nodes=max_nodes)
+        iterations.append(result.stats)
         if result.solved:
+            result.iterations = iterations
             return result
-        last = result
         if result.reason == "queue exhausted" and result.stats.pruned == result.stats.pruned_duplicate:
             return SearchResult(
                 Outcome.NO_PLAN, None, result.stats, k=k,
                 reason=f"complete at k={k}: only duplicate states pruned",
+                iterations=iterations,
             )
-    stats = last.stats if last is not None else SearchStats()
+    stats = iterations[-1] if iterations else SearchStats()
     return SearchResult(
-        Outcome.NO_PLAN, None, stats, k=top, reason=f"no plan up to k={top}"
+        Outcome.NO_PLAN, None, stats, k=top, reason=f"no plan up to k={top}",
+        iterations=iterations,
     )
 
 

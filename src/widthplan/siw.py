@@ -7,10 +7,10 @@ segment start under the sketch, concatenating the segment plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .features import FeatureSet
-from .search import Outcome, SearchStats, iw
+from .search import Outcome, SearchStats, iw, sum_stats
 from .sketches import Sketch, relation
 from .strips import GroundProblem, State, applicable_actions, apply, is_goal
 
@@ -30,10 +30,19 @@ class Segment:
     plan: list[int]
     start_values: tuple[int, ...]
     end_values: tuple[int, ...]
+    iterations: list[SearchStats] = field(default_factory=list)  # one per IW(k) run
+
+    @property
+    def stats(self) -> SearchStats:
+        """What finding this segment cost, summed over its IW(k) runs."""
+        return sum_stats(self.iterations)
 
 
 @dataclass
 class SerializedResult:
+    """`stats` sums every IW(k) run of every inner search, failed ones and
+    the last, unsolved segment's included."""
+
     outcome: Outcome
     plan: list[int] | None
     segments: list[Segment]
@@ -86,7 +95,7 @@ def siw_r(
             )
 
         result = iw(problem, subgoal, start=s, max_k=k_max, max_nodes=max_nodes)
-        _accumulate(totals, result.stats)
+        totals = sum_stats([totals, *result.iterations])
         if not result.solved:
             return SerializedResult(
                 Outcome.FAILURE, None, segments, totals,
@@ -94,7 +103,10 @@ def siw_r(
             )
         s2 = result.goal_state
         segments.append(
-            Segment(result.k, result.plan, start_values, bound.valuation(problem, s2))
+            Segment(
+                result.k, result.plan, start_values, bound.valuation(problem, s2),
+                result.iterations,
+            )
         )
         plan.extend(result.plan)
         s = s2
@@ -107,16 +119,6 @@ def siw_r(
             seen_starts.add(s)
 
     return SerializedResult(Outcome.SOLVED, plan, segments, totals, goal_state=s)
-
-
-def _accumulate(totals: SearchStats, stats: SearchStats):
-    totals.expanded += stats.expanded
-    totals.generated += stats.generated
-    totals.max_queue = max(totals.max_queue, stats.max_queue)
-    totals.novel += stats.novel
-    totals.pruned += stats.pruned
-    totals.pruned_duplicate += stats.pruned_duplicate
-    totals.wall_ms += stats.wall_ms
 
 
 @dataclass

@@ -67,8 +67,11 @@ class GroundProblem:
     objects: tuple[str, ...] = ()
     atom_index: dict[tuple[str, tuple[str, ...]], int] = field(default_factory=dict)
     atoms_by_predicate: dict[str, list[int]] = field(default_factory=dict)
-    _watch_buckets: list[list[int]] | None = field(default=None, repr=False, compare=False)
-    _watch_always: list[int] | None = field(default=None, repr=False, compare=False)
+    # atoms some action adds or deletes; every other atom keeps its initial
+    # truth value along every transition
+    fluent_mask: State = field(default=0, init=False, repr=False, compare=False)
+    _watch_buckets: list[list[int]] = field(default_factory=list, init=False, repr=False, compare=False)
+    _watch_always: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -79,6 +82,11 @@ class GroundProblem:
             for a in self.atoms:
                 by_pred.setdefault(a.predicate, []).append(a.atom_id)
             self.atoms_by_predicate = by_pred
+        fluent = 0
+        for act in self.actions:
+            fluent |= act.add | act.delete
+        self.fluent_mask = fluent
+        self._build_watch_index()
 
     @property
     def n_atoms(self) -> int:
@@ -99,12 +107,16 @@ class GroundProblem:
         return "{" + ", ".join(str(self.atoms[i]) for i in atoms_of(state)) + "}"
 
     def _build_watch_index(self):
-        # Each action is filed under one of its precondition atoms (greedily
-        # the least-loaded bucket) so applicability scans touch few candidates.
-        buckets: list[list[int]] = [[] for _ in range(len(self.atoms))]
+        # Each action is filed under one of its fluent precondition atoms
+        # (greedily the least-loaded bucket) so applicability scans touch few
+        # candidates and skip the static atoms every state carries.  Actions
+        # without a fluent precondition are checked on every scan.
+        buckets: list = [()] * len(self.atoms)  # static atoms are never scanned
+        for i in atoms_of(self.fluent_mask):
+            buckets[i] = []
         always: list[int] = []
         for act in self.actions:
-            pre_atoms = atoms_of(act.pre)
+            pre_atoms = atoms_of(act.pre & self.fluent_mask)
             if not pre_atoms:
                 always.append(act.action_id)
                 continue
@@ -116,12 +128,14 @@ class GroundProblem:
 
 def applicable_actions(problem: GroundProblem, s: State) -> list[int]:
     """Action ids applicable in `s` (pre subset of s), ascending."""
-    if problem._watch_buckets is None:
-        problem._build_watch_index()
     buckets = problem._watch_buckets
     actions = problem.actions
-    out = list(problem._watch_always)
-    rest = s
+    out = []
+    for aid in problem._watch_always:
+        pre = actions[aid].pre
+        if pre & s == pre:
+            out.append(aid)
+    rest = s & problem.fluent_mask
     while rest:
         low = rest & -rest
         rest ^= low

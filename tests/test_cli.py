@@ -1,8 +1,13 @@
 """Command-line surface: exit codes, stats schema, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from widthplan.cli import main
 
@@ -153,3 +158,73 @@ def test_deterministic_output(gen_dir, capsys):
         return plan, stats
 
     assert run() == run()
+
+
+# -- totality: random gen/solve argv never escapes the 0/1/2 contract ---------
+
+_PARAM_KEYS = [
+    "l", "m", "held", "towers", "goal", "width", "height", "start", "target",
+    "packages", "counts", "n", "from", "to", "zz",
+]
+_PARAM_VALUES = st.one_of(
+    st.integers(-1, 4).map(str),
+    st.lists(st.integers(-1, 5), max_size=3).map(lambda xs: ",".join(map(str, xs))),
+    st.text(alphabet="abx1.;:,", max_size=6),
+    st.sampled_from(["on:a:b", "clear:a", "on:a", "a.b;c", "b1"]),
+)
+_PARAM = st.one_of(
+    st.tuples(st.sampled_from(_PARAM_KEYS), _PARAM_VALUES).map("=".join),
+    st.sampled_from(["width", "=3", ""]),
+)
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error:"), (argv, err)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    family=st.sampled_from([
+        "blocks-clear", "blocks-on", "blocks", "grid", "grid2", "delivery", "marbles", "hanoi",
+    ]),
+    params=st.lists(_PARAM, max_size=6),
+)
+def test_gen_random_argv_keeps_exit_contract(tmp_path, family, params):
+    out = tempfile.mkdtemp(dir=tmp_path)
+    _run_cli(["gen", "--family", family, "--params", *params, "--out", out])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    family=st.sampled_from(["blocks-clear", "delivery", "hanoi", "grid"]),
+    alg=st.sampled_from(["bfs", "iw", "iwk", "iwt", "iwphi", "siwr", "policy"]),
+)
+def test_solve_random_argv_keeps_exit_contract(gen_dir, data, family, alg):
+    d = gen_dir[family]
+    files = sorted(p.name for p in d.iterdir()) + ["absent.txt"]
+    argv = ["solve", "--alg", alg, "--domain", str(d / "domain.pddl"),
+            "--problem", str(d / "problem.pddl")]
+    for flag in ("--k", "--max-nodes"):
+        if data.draw(st.booleans()):
+            argv += [flag, str(data.draw(st.integers(-1, 3) if flag == "--k" else st.integers(0, 60)))]
+    for flag in ("--tuples", "--features", "--sketch"):
+        if data.draw(st.booleans()):
+            argv += [flag, str(d / data.draw(st.sampled_from(files)))]
+    if data.draw(st.booleans()):
+        argv.append("--json")
+    _run_cli(argv)
+
+
+@pytest.mark.parametrize("family", ["blocks", "grid2", "delivery", "marbles"])
+def test_gen_missing_parameter_exit_two(tmp_path, capsys, family):
+    assert main(["gen", "--family", family, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: missing parameter '")

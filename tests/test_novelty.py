@@ -63,12 +63,15 @@ def test_idempotence_random_states():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_delta_agrees_with_full_check(k):
-    # walk the reachable transitions of a small instance, feeding one table
-    # the flipped-atom sets and the other nothing
+    # walk the reachable transitions of a small instance with static atoms,
+    # feeding one table the flipped-atom sets and the other nothing; a third
+    # table tracks every atom, static ones included, as the reference
     g = ground_bundle(domains.delivery(2, 2, [2], target=4, start=1))
     with_delta = NoveltyTable(all_tuples_up_to(g, k))
     without = NoveltyTable(all_tuples_up_to(g, k))
-    assert with_delta.register(g.init) == without.register(g.init)
+    every_atom = NoveltyTable(all_tuples_up_to_n(g.n_atoms, k))
+    assert g.init & ~g.fluent_mask
+    assert with_delta.register(g.init) == without.register(g.init) == every_atom.register(g.init)
     frontier, seen = [g.init], {g.init}
     while frontier:
         s = frontier.pop()
@@ -76,7 +79,7 @@ def test_delta_agrees_with_full_check(k):
             succ = apply(g, s, aid)
             r1 = with_delta.register(succ, s ^ succ)
             r2 = without.register(succ)
-            assert r1 == r2
+            assert r1 == r2 == every_atom.register(succ)
             if succ not in seen:
                 seen.add(succ)
                 frontier.append(succ)

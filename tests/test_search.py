@@ -1,5 +1,8 @@
 """Search engines: optimality, pruning bounds, accounting, goal-test order."""
 
+import sys
+import threading
+import tracemalloc
 from math import comb
 
 import pytest
@@ -209,3 +212,83 @@ def test_iwk_dequeues_within_bfs_horizon():
     assert r.solved
     assert all(space.cost[space.index[s]] <= optimal for s in seen)
     assert r.stats.expanded <= bfs_optimal(g).stats.expanded
+
+
+# -- novelty over fluent atoms: counts pinned on instances with static atoms --
+
+
+@pytest.mark.parametrize("make, k, counts", [
+    (lambda: domains.grid(10, 10, 1, 100), 2, (99, 359, 18)),
+    (lambda: domains.hanoi(4, 1, 3), 3, (117, 350, 15)),
+    (lambda: domains.hanoi(4, 1, 2), 3, (125, 373, 15)),
+], ids=["grid-10x10", "hanoi-4-to-3", "hanoi-4-to-2"])
+def test_iwk_counts_pinned_with_static_atoms(make, k, counts):
+    g = ground_bundle(make())
+    assert g.init & ~g.fluent_mask  # states carry static atoms
+    r = iw_k(g, k)
+    assert (r.stats.expanded, r.stats.generated, len(r.plan)) == counts
+
+
+def test_iw_counts_and_iterations_pinned(delivery_small):
+    g, _ = delivery_small
+    r = iw(g)
+    assert (r.stats.expanded, r.stats.generated, len(r.plan), r.k) == (587, 1858, 12, 3)
+    # stats stay the final IW(k)'s; iterations keep every IW(0..3) run
+    assert len(r.iterations) == 4 and r.iterations[-1] is r.stats
+    assert sum(it.expanded for it in r.iterations) == 786
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_root_with_only_static_atoms_is_expanded(k):
+    # (s) is never added or deleted, so the root holds no fluent atom; the
+    # full tuple universe calls it novel through (s), and so must the table
+    text = """(define (domain t) (:predicates (s) (p) (q))
+      (:action a :parameters () :precondition (and (s)) :effect (and (p))))"""
+    d = parse_domain(text)
+    p = parse_problem("(define (problem i) (:domain t) (:objects o) (:init (s)) (:goal (and (q))))")
+    g = ground(d, p)
+    assert g.init and not g.init & g.fluent_mask
+    r = iw_k(g, k)
+    assert r.outcome is Outcome.FAILURE
+    assert (r.stats.expanded, r.stats.generated) == (2, 3)
+
+
+def test_iw2_memory_sized_by_fluent_atoms():
+    # 10,000 atoms of which 100 fluent: an n-squared table would be ~100 MB
+    g = ground_bundle(domains.grid(10, 10, 1, 100))
+    tracemalloc.start()
+    try:
+        r = iw_k(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.solved
+    assert peak < 5 * 2**20
+
+
+def test_concurrent_searches_share_one_problem():
+    bundle = domains.delivery(3, 3, [3, 8], target=1, start=5)
+
+    def counts(problem):
+        r = iw_k(problem, 3)
+        return r.stats.expanded, r.stats.generated, r.plan
+
+    expected = counts(ground_bundle(bundle))
+    shared = ground_bundle(bundle)
+    results = [None] * 4
+
+    def work(i):
+        results[i] = counts(shared)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4

@@ -143,3 +143,18 @@ def test_zero_width_fails_where_policy_stuck(delivery_one):
     phi = bundle_features(bundle)
     assert run_policy(g, sketch, phi).status == "stuck"
     assert not siw_r(g, sketch, phi, k_max=0).solved
+
+
+def test_siwr_totals_sum_every_iteration():
+    # failed lower-k runs count too: the final IW(k) runs alone expand 2,334
+    bundle = domains.delivery(5, 5, [7, 13, 24], target=1, start=12)
+    g = ground_bundle(bundle)
+    res = siw_r(g, bundle_sketch(bundle, "r4"), bundle_features(bundle), k_max=2)
+    assert res.solved
+    runs = [it for seg in res.segments for it in seg.iterations]
+    assert res.stats.expanded == sum(it.expanded for it in runs) == 2421
+    assert res.stats.generated == sum(it.generated for it in runs)
+    assert sum(seg.iterations[-1].expanded for seg in res.segments) == 2334
+    for seg in res.segments:
+        assert len(seg.iterations) == seg.k + 1
+        assert seg.stats.expanded == sum(it.expanded for it in seg.iterations)

@@ -1,5 +1,7 @@
 """Ground state model: applicability, successor function, goal tests."""
 
+import random
+
 import pytest
 
 from widthplan import (
@@ -129,3 +131,32 @@ def test_transition_flip_bound():
         succ = apply(g, s, aid)
         assert len(atoms_of(s ^ succ)) <= cap
         s = succ
+
+
+def test_static_only_precondition_checked():
+    # an action whose preconditions are all static is scanned on every call,
+    # so it must still be filtered by the state
+    text = """(define (domain t) (:predicates (s) (p))
+      (:action a :parameters () :precondition (and (s)) :effect (and (p))))"""
+    d = parse_domain(text)
+    p = parse_problem("(define (problem i) (:domain t) (:objects o) (:init (s)) (:goal (and (p))))")
+    g = ground(d, p)
+    assert g.fluent_mask == state_from_atoms([g.atom_id("p", ())])
+    assert applicable_actions(g, g.init) == [0]
+    assert applicable_actions(g, 0) == []
+
+
+@pytest.mark.parametrize("bundle", [
+    domains.grid(3, 3, 1, 9), domains.hanoi(3), domains.delivery(2, 2, [2], target=4, start=1),
+], ids=lambda b: b.family)
+def test_applicable_matches_precondition_scan(bundle):
+    # arbitrary states, static atoms true or false, against the plain definition
+    g = ground_bundle(bundle)
+    rng = random.Random(5)
+    states = [g.init] + [
+        state_from_atoms(rng.sample(range(g.n_atoms), rng.randint(0, g.n_atoms)))
+        for _ in range(200)
+    ]
+    for s in states:
+        expected = [a.action_id for a in g.actions if a.pre & s == a.pre]
+        assert applicable_actions(g, s) == expected
