@@ -29,7 +29,10 @@ _INPUT_ERRORS = (
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage error (2, usage text on stderr) or --help (0)
+        return exc.code
     try:
         return args.handler(args)
     except _INPUT_ERRORS as exc:

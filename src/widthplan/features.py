@@ -17,6 +17,21 @@ the graph of facts of its adjacency predicate from the unique location of
 its position predicate to the nearest target, and is 0 when the target set
 is empty, the position is undefined, or the optional `zero_if` pattern
 matches the state.
+
+Evaluation is compiled: a FeatureSet turns each feature into a kernel
+`s -> int` over precomputed atom masks the first time it values a state of a
+GroundProblem, and keeps the kernels of that one problem.  `count` is the
+popcount of the state under the pattern's mask, `distance` reads BFS rows
+built at compile time, and `builtin(name)` calls the kernel factory
+registered under `name`:
+
+    @register_builtin("holding_count")
+    def _holding_count(problem: GroundProblem) -> Kernel:
+        mask = state_from_atoms(problem.atoms_by_predicate.get("holding", ()))
+        return lambda s: (s & mask).bit_count()
+
+The factory runs once per problem, so its masks and tables cost nothing per
+state.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .strips import GroundProblem, State
+from .strips import GroundProblem, State, atoms_of, state_from_atoms
 
 
 class FeatureError(ValueError):
@@ -34,7 +49,8 @@ class FeatureError(ValueError):
 
 
 class VisitMeter:
-    """Counts atom-table entries touched, for linear-time evaluation audits."""
+    """Counts the atoms the masks of the evaluated kernels cover, for
+    linear-time evaluation audits."""
 
     def __init__(self):
         self.visits = 0
@@ -131,6 +147,8 @@ class FeatureSet:
             raise FeatureError("duplicate feature name")
         self.features = list(features)
         self.by_name = {f.name: f for f in features}
+        # (problem, kernels, cover) of the last problem valued
+        self._compiled: tuple[GroundProblem, tuple[Kernel, ...], int] | None = None
 
     def __len__(self) -> int:
         return len(self.features)
@@ -141,7 +159,16 @@ class FeatureSet:
     def valuation(
         self, problem: GroundProblem, s: State, meter: VisitMeter | None = None
     ) -> tuple[int, ...]:
-        return tuple(evaluate(f, problem, s, meter) for f in self.features)
+        """Feature values in `s`; the kernels are compiled on the first call
+        for `problem` and kept until another problem is valued."""
+        compiled = self._compiled
+        if compiled is None or compiled[0] is not problem:
+            parts = [compile_feature(f, problem) for f in self.features]
+            kernels = tuple(kernel for kernel, _ in parts)
+            compiled = self._compiled = (problem, kernels, sum(c for _, c in parts))
+        if meter is not None:
+            meter.add(compiled[2])
+        return tuple([kernel(s) for kernel in compiled[1]])
 
     def select(self, names_kinds: list[tuple[str, str]]) -> "FeatureSet":
         """Subset in the requested order; kinds must match the declarations."""
@@ -167,15 +194,23 @@ def boolean_projection(phi: FeatureSet, values: tuple[int, ...]) -> tuple[bool, 
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Compilation to mask kernels
+#
+# A feature compiles against one GroundProblem into a kernel `s -> int` that
+# reads the state only through atom masks and tables built here.  `cover` is
+# the number of atoms those masks span; a VisitMeter is charged it per call.
 
-BUILTINS: dict[str, Callable[[GroundProblem, State], int]] = {}
+Kernel = Callable[[State], int]
+
+BUILTINS: dict[str, Callable[[GroundProblem], Kernel]] = {}
 
 
 def register_builtin(name: str):
-    def deco(fn):
-        BUILTINS[name] = fn
-        return fn
+    """Register a kernel factory `problem -> (s -> int)` as `builtin(name)`."""
+
+    def deco(factory):
+        BUILTINS[name] = factory
+        return factory
 
     return deco
 
@@ -183,211 +218,263 @@ def register_builtin(name: str):
 def evaluate(
     feature: Feature, problem: GroundProblem, s: State, meter: VisitMeter | None = None
 ) -> int:
-    v = _eval(feature.expr, problem, s, meter)
-    if feature.kind == "bool" and v not in (0, 1):
-        raise FeatureError(f"feature '{feature.name}' declared bool but evaluated to {v}")
-    if v < 0:
-        raise FeatureError(f"feature '{feature.name}' evaluated to negative value {v}")
-    return v
+    """Value of one feature in `s`.  This compiles the feature afresh; a
+    FeatureSet compiles once per problem and is the way to evaluate many
+    states."""
+    kernel, cover = compile_feature(feature, problem)
+    if meter is not None:
+        meter.add(cover)
+    return kernel(s)
 
 
-def _eval(expr: Expr, problem: GroundProblem, s: State, meter: VisitMeter | None) -> int:
-    if isinstance(expr, Count):
-        return _eval_count(expr.pattern, problem, s, meter)
-    if isinstance(expr, Missing):
-        return _eval_missing(expr, problem, s, meter)
-    if isinstance(expr, ChainCount):
-        return _eval_chain(expr, problem, s, meter)
-    if isinstance(expr, Distance):
-        return _eval_distance(expr, problem, s)
+def compile_feature(feature: Feature, problem: GroundProblem) -> tuple[Kernel, int]:
+    """Kernel of `feature` on `problem` and the atoms its masks cover; the
+    kernel raises FeatureError for a bool value outside {0, 1} or a negative
+    value."""
+    inner, cover = _compile(feature.expr, problem)
+    if isinstance(feature.expr, Nonzero) or (
+        feature.kind == "num" and not _may_be_negative(feature.expr)
+    ):
+        return inner, cover  # in range by construction
+    name, is_bool = feature.name, feature.kind == "bool"
+
+    def kernel(s: State) -> int:
+        v = inner(s)
+        if is_bool and v not in (0, 1):
+            raise FeatureError(f"feature '{name}' declared bool but evaluated to {v}")
+        if v < 0:
+            raise FeatureError(f"feature '{name}' evaluated to negative value {v}")
+        return v
+
+    return kernel, cover
+
+
+def _may_be_negative(expr: Expr) -> bool:
+    """Only a builtin can give a negative value; every other kernel counts."""
     if isinstance(expr, Builtin):
-        fn = BUILTINS.get(expr.name)
-        if fn is None:
-            raise FeatureError(f"unregistered builtin '{expr.name}'")
-        return fn(problem, s)
+        return True
     if isinstance(expr, Sum):
-        return _eval(expr.left, problem, s, meter) + _eval(expr.right, problem, s, meter)
+        return _may_be_negative(expr.left) or _may_be_negative(expr.right)
+    return False
+
+
+def _compile(expr: Expr, problem: GroundProblem) -> tuple[Kernel, int]:
+    if isinstance(expr, Count):
+        mask = _pattern_mask(problem, expr.pattern)
+        return (lambda s: (s & mask).bit_count()), mask.bit_count()
+    if isinstance(expr, Missing):
+        return _compile_missing(expr, problem)
+    if isinstance(expr, ChainCount):
+        return _compile_chain(expr, problem)
+    if isinstance(expr, Distance):
+        return _compile_distance(expr, problem)
+    if isinstance(expr, Builtin):
+        factory = BUILTINS.get(expr.name)
+        if factory is None:
+            raise FeatureError(f"unregistered builtin '{expr.name}'")
+        return factory(problem), 0
+    if isinstance(expr, Sum):
+        left, left_cover = _compile(expr.left, problem)
+        right, right_cover = _compile(expr.right, problem)
+        return (lambda s: left(s) + right(s)), left_cover + right_cover
     if isinstance(expr, Nonzero):
-        return 1 if _eval(expr.inner, problem, s, meter) else 0
+        inner, cover = _compile(expr.inner, problem)
+        return (lambda s: 1 if inner(s) else 0), cover
     raise FeatureError(f"unknown expression {expr!r}")
 
 
-def _pattern_true_atoms(pattern: Pattern, problem: GroundProblem, s: State, meter):
-    ids = problem.atoms_by_predicate.get(pattern.predicate, ())
-    if meter is not None:
-        meter.add(len(ids))
-    for aid in ids:
-        if (s >> aid) & 1 and pattern.matches(problem.atoms[aid].args):
-            yield problem.atoms[aid]
+def _pattern_mask(problem: GroundProblem, pattern: Pattern) -> State:
+    return state_from_atoms(
+        aid for aid in problem.atoms_by_predicate.get(pattern.predicate, ())
+        if pattern.matches(problem.atoms[aid].args)
+    )
 
 
-def _eval_count(pattern: Pattern, problem: GroundProblem, s: State, meter) -> int:
-    if "_" not in pattern.args:
-        aid = problem.atom_id(pattern.predicate, pattern.args)
-        if meter is not None:
-            meter.add(1)
-        return int(aid is not None and (s >> aid) & 1)
-    return sum(1 for _ in _pattern_true_atoms(pattern, problem, s, meter))
-
-
-def _eval_missing(expr: Missing, problem: GroundProblem, s: State, meter) -> int:
+def _compile_missing(expr: Missing, problem: GroundProblem) -> tuple[Kernel, int]:
     hole = expr.pattern.args.index("_")
-    n = 0
-    if meter is not None:
-        meter.add(len(expr.objects))
+    bits = []
     for obj in expr.objects:
         args = list(expr.pattern.args)
         args[hole] = obj
         aid = problem.atom_id(expr.pattern.predicate, tuple(args))
-        if aid is None or not (s >> aid) & 1:
-            n += 1
-    return n
+        bits.append(0 if aid is None else 1 << aid)  # no ground atom: always missing
+    mask = state_from_atoms(b.bit_length() - 1 for b in bits if b)
+    n = len(bits)
+    if mask.bit_count() == sum(1 for b in bits if b):
+        return (lambda s: n - (s & mask).bit_count()), mask.bit_count()
+    # an object listed twice counts twice
+    return (lambda s: sum(1 for b in bits if not s & b)), mask.bit_count()
 
 
-def _eval_chain(expr: ChainCount, problem: GroundProblem, s: State, meter) -> int:
+def _compile_chain(expr: ChainCount, problem: GroundProblem) -> tuple[Kernel, int]:
     # "up" counts objects stacked over the seed via pred(above, below).
-    above: dict[str, str] = {}
     ids = problem.atoms_by_predicate.get(expr.predicate, ())
-    if meter is not None:
-        meter.add(len(ids))
+    mask = state_from_atoms(ids)
+    link: dict[int, tuple[str, str]] = {}  # atom id -> (from, to)
     for aid in ids:
-        if (s >> aid) & 1:
-            a, b = problem.atoms[aid].args
-            key, val = (b, a) if expr.direction == "up" else (a, b)
-            if key in above:
-                raise FeatureError(
-                    f"chain_count({expr.predicate}): two links from '{key}'"
-                )
-            above[key] = val
-    n = 0
-    cur = expr.seed
-    seen = {cur}
-    while cur in above:
-        cur = above[cur]
-        if cur in seen:
-            raise FeatureError(f"chain_count({expr.predicate}): cycle at '{cur}'")
-        seen.add(cur)
-        n += 1
-    return n
+        a, b = problem.atoms[aid].args
+        link[aid] = (b, a) if expr.direction == "up" else (a, b)
+    pred, seed = expr.predicate, expr.seed
+
+    def kernel(s: State) -> int:
+        nxt: dict[str, str] = {}
+        for aid in atoms_of(s & mask):
+            key, val = link[aid]
+            if key in nxt:
+                raise FeatureError(f"chain_count({pred}): two links from '{key}'")
+            nxt[key] = val
+        n = 0
+        cur = seed
+        seen = {cur}
+        while cur in nxt:
+            cur = nxt[cur]
+            if cur in seen:
+                raise FeatureError(f"chain_count({pred}): cycle at '{cur}'")
+            seen.add(cur)
+            n += 1
+        return n
+
+    return kernel, mask.bit_count()
 
 
-def _adjacency(problem: GroundProblem, pred: str, s: State) -> dict[str, list[str]]:
-    mask = problem.predicate_mask(pred)
-    key = ("adjacency", pred, s & mask)
-    graph = problem._cache.get(key)
-    if graph is None:
-        graph = {}
-        for aid in problem.atoms_by_predicate.get(pred, ()):
-            if (s >> aid) & 1:
-                a, b = problem.atoms[aid].args
-                graph.setdefault(a, []).append(b)
-        problem._cache[key] = graph
+def _graph(problem: GroundProblem, edges: State) -> dict[str, list[str]]:
+    graph: dict[str, list[str]] = {}
+    for aid in atoms_of(edges):
+        a, b = problem.atoms[aid].args
+        graph.setdefault(a, []).append(b)
     return graph
 
 
-def _eval_distance(expr: Distance, problem: GroundProblem, s: State) -> int:
-    if expr.zero_if is not None:
-        for _ in _pattern_true_atoms(expr.zero_if, problem, s, None):
-            return 0
-    source = None
-    for atom in _pattern_true_atoms(
-        Pattern(expr.pos_predicate, ("_",)), problem, s, None
-    ):
-        if source is not None:
-            raise FeatureError(f"distance: several {expr.pos_predicate} atoms true")
-        source = atom.args[0]
-    if isinstance(expr.targets, CellTargets):
-        targets = set(expr.targets.objects)
-    else:
-        targets = {
-            atom.args[-1]
-            for atom in _pattern_true_atoms(expr.targets.pattern, problem, s, None)
-        }
-        targets -= set(expr.targets.exclude)
-    if source is None or not targets:
-        return 0
-    if source in targets:
-        return 0
-    graph = _adjacency(problem, expr.adj_predicate, s)
+def _bfs(graph: dict[str, list[str]], source: str) -> dict[str, int]:
     dist = {source: 0}
     queue = deque([source])
     while queue:
         cur = queue.popleft()
         d = dist[cur] + 1
         for nxt in graph.get(cur, ()):
-            if nxt in dist:
-                continue
-            if nxt in targets:
-                return d
-            dist[nxt] = d
-            queue.append(nxt)
-    raise FeatureError(
-        f"distance: no target of {expr.targets} reachable from '{source}'"
-    )
+            if nxt not in dist:
+                dist[nxt] = d
+                queue.append(nxt)
+    return dist
+
+
+def _compile_distance(expr: Distance, problem: GroundProblem) -> tuple[Kernel, int]:
+    """Distance rows are computed here, from every position, over the
+    adjacency facts of the initial state.  A state holding other adjacency
+    facts (a reachable one only when the adjacency predicate is fluent) gets
+    a BFS over its own facts, and nothing of it is kept."""
+    atoms = problem.atoms
+    pos_mask = _pattern_mask(problem, Pattern(expr.pos_predicate, ("_",)))
+    zero_mask = _pattern_mask(problem, expr.zero_if) if expr.zero_if is not None else 0
+    adj_mask = state_from_atoms(problem.atoms_by_predicate.get(expr.adj_predicate, ()))
+    base = problem.init & adj_mask
+    base_graph = _graph(problem, base)
+    source_of = {aid: atoms[aid].args[0] for aid in atoms_of(pos_mask)}
+    rows = {src: _bfs(base_graph, src) for src in source_of.values()}
+    if isinstance(expr.targets, CellTargets):
+        fixed: tuple[str, ...] | None = expr.targets.objects
+        target_mask = 0
+    else:
+        fixed = None
+        exclude = set(expr.targets.exclude)
+        target_mask = state_from_atoms(
+            aid for aid in atoms_of(_pattern_mask(problem, expr.targets.pattern))
+            if atoms[aid].args[-1] not in exclude
+        )
+    pos_pred, targets_desc = expr.pos_predicate, expr.targets
+
+    def kernel(s: State) -> int:
+        if s & zero_mask:
+            return 0
+        pos = s & pos_mask
+        if not pos:
+            return 0
+        if pos & (pos - 1):
+            raise FeatureError(f"distance: several {pos_pred} atoms true")
+        source = source_of[pos.bit_length() - 1]
+        targets = fixed or [atoms[aid].args[-1] for aid in atoms_of(s & target_mask)]
+        if not targets:
+            return 0
+        adj = s & adj_mask
+        row = rows[source] if adj == base else _bfs(_graph(problem, adj), source)
+        best = min((row[t] for t in targets if t in row), default=None)
+        if best is None:
+            raise FeatureError(
+                f"distance: no target of {targets_desc} reachable from '{source}'"
+            )
+        return best
+
+    return kernel, (pos_mask | zero_mask | adj_mask | target_mask).bit_count()
 
 
 # ---------------------------------------------------------------------------
-# Registered domain-specific evaluators
+# Registered domain-specific kernel factories
 
 
 @register_builtin("marbles_first_box")
-def _marbles_first_box(problem: GroundProblem, s: State) -> int:
+def _marbles_first_box(problem: GroundProblem) -> Kernel:
     """Marbles in the lexicographically first box still on the table."""
-    first = None
-    for aid in problem.atoms_by_predicate.get("ontable", ()):
-        if (s >> aid) & 1:
-            b = problem.atoms[aid].args[0]
-            if first is None or b < first:
-                first = b
-    if first is None:
-        return 0
-    n = 0
+    atoms = problem.atoms
+    contents: dict[str, State] = {}  # box -> mask of its in(_, box) atoms
     for aid in problem.atoms_by_predicate.get("in", ()):
-        if (s >> aid) & 1 and problem.atoms[aid].args[1] == first:
-            n += 1
-    return n
+        box = atoms[aid].args[1]
+        contents[box] = contents.get(box, 0) | 1 << aid
+    boxes = sorted(
+        (atoms[aid].args[0], 1 << aid) for aid in problem.atoms_by_predicate.get("ontable", ())
+    )
+    table = [(bit, contents.get(box, 0)) for box, bit in boxes]
+
+    def kernel(s: State) -> int:
+        for on_table, inside in table:
+            if s & on_table:
+                return (s & inside).bit_count()
+        return 0
+
+    return kernel
 
 
 @register_builtin("hanoi_parity")
-def _hanoi_parity(problem: GroundProblem, s: State) -> int:
+def _hanoi_parity(problem: GroundProblem) -> Kernel:
     aid = problem.atom_id("e", ())
-    return int(aid is not None and (s >> aid) & 1)
+    bit = 0 if aid is None else 1 << aid
+    return lambda s: 1 if s & bit else 0
 
 
-def _hanoi_top(problem: GroundProblem, s: State, peg: str) -> str:
-    above = {}
-    for aid in problem.atoms_by_predicate.get("on", ()):
-        if (s >> aid) & 1:
-            a, b = problem.atoms[aid].args
-            above[b] = a
-    cur = peg
-    while cur in above:
-        cur = above[cur]
-    return cur
-
-
-def _hanoi_top_less(problem: GroundProblem, s: State, peg_i: str, peg_j: str) -> int:
+def _hanoi_top_less(problem: GroundProblem, peg_i: str, peg_j: str) -> Kernel:
     # An empty peg counts as carrying a virtual disk larger than every disk:
     # the comparison is true iff peg i is non-empty and peg j is empty, or
     # both are non-empty and top(i) is the smaller disk.
-    top_i = _hanoi_top(problem, s, peg_i)
-    top_j = _hanoi_top(problem, s, peg_j)
-    if top_i == peg_i:
-        return 0
-    if top_j == peg_j:
-        return 1
-    aid = problem.atom_id("smaller", (top_i, top_j))
-    return int(aid is not None and (s >> aid) & 1)
+    atoms = problem.atoms
+    under: dict[str, State] = {}  # object -> mask of the on(_, object) atoms
+    for aid in problem.atoms_by_predicate.get("on", ()):
+        below = atoms[aid].args[1]
+        under[below] = under.get(below, 0) | 1 << aid
+    smaller = {atoms[aid].args: 1 << aid for aid in problem.atoms_by_predicate.get("smaller", ())}
+
+    def top(s: State, peg: str) -> str:
+        cur = peg
+        on = s & under.get(cur, 0)
+        while on:
+            cur = atoms[on.bit_length() - 1].args[0]
+            on = s & under.get(cur, 0)
+        return cur
+
+    def kernel(s: State) -> int:
+        top_i = top(s, peg_i)
+        if top_i == peg_i:
+            return 0
+        top_j = top(s, peg_j)
+        if top_j == peg_j:
+            return 1
+        return 1 if s & smaller.get((top_i, top_j), 0) else 0
+
+    return kernel
 
 
 for _i, _j in ((1, 2), (1, 3), (2, 3)):
-    def _make(i=_i, j=_j):
-        def fn(problem: GroundProblem, s: State) -> int:
-            return _hanoi_top_less(problem, s, f"peg{i}", f"peg{j}")
-
-        return fn
-
-    BUILTINS[f"hanoi_p{_i}{_j}"] = _make()
+    register_builtin(f"hanoi_p{_i}{_j}")(
+        lambda problem, i=_i, j=_j: _hanoi_top_less(problem, f"peg{i}", f"peg{j}")
+    )
 
 
 # ---------------------------------------------------------------------------

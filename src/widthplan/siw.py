@@ -88,11 +88,16 @@ def siw_r(
                 reason=f"cycle guard: segment cap {max_segments} reached",
             )
         start_values = bound.valuation(problem, s)
+        # the search stops at the first state the test accepts, so the last
+        # state valued is the segment's end unless that end is a goal
+        last_state, last_values = None, None
 
         def subgoal(st: State) -> bool:
-            return is_goal(problem, st) or relation(
-                sketch, start_values, bound.valuation(problem, st)
-            )
+            nonlocal last_state, last_values
+            if is_goal(problem, st):
+                return True
+            last_state, last_values = st, bound.valuation(problem, st)
+            return relation(sketch, start_values, last_values)
 
         result = iw(problem, subgoal, start=s, max_k=k_max, max_nodes=max_nodes)
         totals = sum_stats([totals, *result.iterations])
@@ -102,12 +107,8 @@ def siw_r(
                 reason=f"inner search exhausted k_max={k_max}: {result.reason}",
             )
         s2 = result.goal_state
-        segments.append(
-            Segment(
-                result.k, result.plan, start_values, bound.valuation(problem, s2),
-                result.iterations,
-            )
-        )
+        end_values = last_values if s2 == last_state else bound.valuation(problem, s2)
+        segments.append(Segment(result.k, result.plan, start_values, end_values, result.iterations))
         plan.extend(result.plan)
         s = s2
         if not is_goal(problem, s):

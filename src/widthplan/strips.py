@@ -72,7 +72,6 @@ class GroundProblem:
     fluent_mask: State = field(default=0, init=False, repr=False, compare=False)
     _watch_buckets: list[list[int]] = field(default_factory=list, init=False, repr=False, compare=False)
     _watch_always: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.atom_index:
@@ -94,14 +93,6 @@ class GroundProblem:
 
     def atom_id(self, predicate: str, args: tuple[str, ...]) -> int | None:
         return self.atom_index.get((predicate, args))
-
-    def predicate_mask(self, predicate: str) -> State:
-        key = ("pred_mask", predicate)
-        mask = self._cache.get(key)
-        if mask is None:
-            mask = state_from_atoms(self.atoms_by_predicate.get(predicate, ()))
-            self._cache[key] = mask
-        return mask
 
     def state_str(self, state: State) -> str:
         return "{" + ", ".join(str(self.atoms[i]) for i in atoms_of(state)) + "}"

@@ -137,10 +137,15 @@ def test_input_error_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_usage_error_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--alg", "wat", "--domain", "x", "--problem", "y"])
-    assert exc.value.code == 2
+def test_usage_error_exit_two(capsys):
+    assert main(["solve", "--alg", "wat", "--domain", "x", "--problem", "y"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "widthplan solve: error:" in err
+
+
+def test_help_exit_zero(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage:")
 
 
 def test_missing_required_input_exit_two(gen_dir, capsys):
@@ -222,6 +227,34 @@ def test_solve_random_argv_keeps_exit_contract(gen_dir, data, family, alg):
     if data.draw(st.booleans()):
         argv.append("--json")
     _run_cli(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    fault=st.sampled_from(["alg", "no-domain", "k"]),
+    alg=st.sampled_from(["bfs", "iw", "iwk", "siwr", "policy"]),
+)
+def test_solve_rejected_argv_exits_two(gen_dir, data, fault, alg):
+    d = gen_dir[data.draw(st.sampled_from(sorted(gen_dir)))]
+    if fault == "alg":
+        alg = data.draw(st.text(alphabet="abiwxz-", min_size=1, max_size=6).filter(
+            lambda a: a not in ("bfs", "iw", "iwk", "iwt", "iwphi", "siwr", "policy")
+            and not a.startswith("-")))
+    argv = ["solve", "--alg", alg, "--problem", str(d / "problem.pddl")]
+    if fault != "no-domain":
+        argv += ["--domain", str(d / "domain.pddl")]
+    if fault == "k":
+        argv += ["--k", data.draw(st.sampled_from(["x", "1.5", "", "two", "0x1"]))]
+    elif data.draw(st.booleans()):
+        argv += ["--k", str(data.draw(st.integers(0, 2)))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code == 2, (argv, code)
+    assert "Traceback" not in err
+    assert err.startswith("usage:") and "widthplan solve: error:" in err, (argv, err)
 
 
 @pytest.mark.parametrize("family", ["blocks", "grid2", "delivery", "marbles"])

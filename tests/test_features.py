@@ -1,9 +1,14 @@
 """Feature evaluation, valuations, projections, and the linearity audit."""
 
+import zlib
+
 import pytest
 
-from widthplan import applicable_actions, apply, bfs_optimal, domains, replay
+from widthplan import (
+    applicable_actions, apply, bfs_optimal, domains, ground, parse_domain, parse_problem, replay,
+)
 from widthplan.features import (
+    BUILTINS,
     FeatureError,
     VisitMeter,
     boolean_projection,
@@ -165,3 +170,170 @@ def test_marbles_first_box_order():
     g = ground_bundle(bundle)
     phi = parse_features(bundle.features_text)
     assert phi.valuation(g, g.init) == (2, 2)  # b1 first with 2 marbles
+
+
+# -- parity pins of the compiled kernels ---------------------------------------
+#
+# crc32 of the valuation sequence over every reachable state, visited depth
+# first with successors pushed in action order, as the per-state interpreter
+# that preceded the kernels computed it.
+
+
+def _dfs_valuations(g, phi):
+    stack, seen, out = [g.init], {g.init}, []
+    while stack:
+        s = stack.pop()
+        out.append(phi.valuation(g, s))
+        for aid in applicable_actions(g, s):
+            succ = apply(g, s, aid)
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return out
+
+
+@pytest.mark.parametrize("bundle, states, crc", [
+    (domains.delivery(4, 3, [2, 7, 12], target=4, start=1), 25920, 2497952229),
+    (domains.blocks_clear(4), 866, 3631822550),
+    (domains.marbles([2, 1, 2]), 75, 819486174),
+    (domains.hanoi(5), 486, 2293401275),
+    (domains.grid2(5, 5, (1, 1), (5, 4)), 25, 2707221103),
+], ids=lambda v: getattr(v, "family", None))
+def test_valuation_crc_over_reachable_states(bundle, states, crc):
+    g = ground_bundle(bundle)
+    vals = _dfs_valuations(g, parse_features(bundle.features_text))
+    assert len(vals) == states
+    assert zlib.crc32(repr(vals).encode()) == crc
+
+
+def test_valuation_recompiles_for_another_problem():
+    small, large = domains.delivery(3, 3, [6], 9, 1), domains.delivery(4, 4, [6], 16, 1)
+    phi = parse_features("feature t num = distance(pos, adjacent, cells(c6))\n")
+    g_small, g_large = ground_bundle(small), ground_bundle(large)
+    assert phi.valuation(g_small, g_small.init) == (3,)  # c1 -> c6 on 3x3
+    assert phi.valuation(g_large, g_large.init) == (2,)  # c1 -> c6 on 4x4
+    assert phi.valuation(g_small, g_small.init) == (3,)
+
+
+# -- error paths the kernels keep ----------------------------------------------
+
+
+def _forge(g, s, *atoms, drop=()):
+    for pred, args in atoms:
+        s |= 1 << g.atom_id(pred, args)
+    for pred, args in drop:
+        s &= ~(1 << g.atom_id(pred, args))
+    return s
+
+
+def test_distance_several_positions():
+    g, phi = _delivery([3])
+    s = _forge(g, g.init, ("pos", ("c1",)))  # agent at c5 and c1
+    with pytest.raises(FeatureError, match="several pos atoms true"):
+        phi.valuation(g, s)
+
+
+def test_distance_unreachable_target():
+    g, phi = _delivery([3])
+    # a package is no grid cell, so no adjacency path ends at it
+    bad = parse_features("feature t num = distance(pos, adjacent, cells(p1))\n")
+    with pytest.raises(FeatureError, match="no target .* reachable from 'c5'"):
+        bad.valuation(g, g.init)
+    # a state without the adjacency facts of the initial state is walked over
+    # its own facts: from c5, cut off from c1
+    cut = [a for a in g.atoms if a.predicate == "adjacent" and "c5" in a.args]
+    s = _forge(g, g.init, drop=[(a.predicate, a.args) for a in cut])
+    with pytest.raises(FeatureError, match="no target .* reachable from 'c5'"):
+        phi.valuation(g, s)
+
+
+def test_chain_two_links_from_one_object():
+    bundle = domains.blocks_clear(2)  # b1 on b2 on x
+    g = ground_bundle(bundle)
+    s = _forge(g, g.init, ("on", ("b1", "x")))
+    phi = parse_features("feature n num = chain_count(on, x, up)\n")
+    with pytest.raises(FeatureError, match="two links from 'x'"):
+        phi.valuation(g, s)
+    # the chain above b1 is empty, yet the second link below is still an error
+    top = parse_features("feature n num = chain_count(on, b1, up)\n")
+    assert top.valuation(g, g.init) == (0,)
+    with pytest.raises(FeatureError, match="two links from 'x'"):
+        top.valuation(g, s)
+
+
+def test_missing_repeated_and_groundless_objects():
+    g, _ = _delivery([3, 1])  # p1 at c3, p2 already at the target c1
+    phi = parse_features(
+        "feature a num = missing(ppos(_, c1), p1, p1, zz)\n"  # p1 twice, zz no object
+        "feature b num = missing(ppos(_, c1), p2, p2, zz)\n"
+        "feature c num = missing(ppos(_, c1), p1, p2, zz)\n"
+    )
+    assert phi.valuation(g, g.init) == (3, 1, 2)
+
+
+def test_bool_feature_out_of_range():
+    bundle = domains.marbles([1, 1])
+    g = ground_bundle(bundle)
+    phi = parse_features("feature n bool = count(ontable(_))\n")
+    with pytest.raises(FeatureError, match="declared bool but evaluated to 2"):
+        phi.valuation(g, g.init)
+
+
+def test_negative_builtin_value(monkeypatch):
+    monkeypatch.setitem(BUILTINS, "minus_one", lambda problem: lambda s: -1)
+    bundle = domains.marbles([1])
+    g = ground_bundle(bundle)
+    phi = parse_features(
+        "feature z num = sum(count(ontable(_)), builtin(minus_one))\n"  # 1 - 1
+        "feature m num = sum(builtin(marbles_first_box), builtin(minus_one))\n"
+    )
+    with pytest.raises(FeatureError, match="feature 'm' evaluated to negative value -1"):
+        phi.valuation(g, apply(g, g.init, applicable_actions(g, g.init)[0]))  # marble taken
+    assert phi.valuation(g, g.init) == (0, 0)
+
+
+_LINKS_DOMAIN = """(define (domain links)
+  (:predicates (at ?x) (link ?x ?y))
+  (:action move :parameters (?x ?y)
+    :precondition (and (at ?x) (link ?x ?y))
+    :effect (and (at ?y) (not (at ?x))))
+  (:action build :parameters (?x ?y)
+    :precondition (and (at ?x))
+    :effect (and (link ?x ?y)))
+  (:action cut :parameters (?x ?y)
+    :precondition (and (link ?x ?y))
+    :effect (and (not (link ?x ?y)))))
+"""
+
+_LINKS_PROBLEM = """(define (problem links-4) (:domain links)
+  (:objects a b c d)
+  (:init (at a) (link a b) (link b c) (link c d))
+  (:goal (and (at d))))
+"""
+
+
+def test_distance_over_fluent_adjacency():
+    g = ground(parse_domain(_LINKS_DOMAIN), parse_problem(_LINKS_PROBLEM))
+    phi = parse_features("feature d num = distance(at, link, cells(d))\n")
+
+    def after(*steps):
+        s = g.init
+        for name, args in steps:
+            s = apply(g, s, next(a.action_id for a in g.actions
+                                 if a.name == name and a.args == args))
+        return s
+
+    assert phi.valuation(g, g.init) == (3,)  # a-b-c-d
+    assert phi.valuation(g, after(("move", ("a", "b")))) == (2,)
+    assert phi.valuation(g, after(("build", ("a", "c")))) == (2,)  # a-c-d
+    assert phi.valuation(g, after(("build", ("a", "d")))) == (1,)
+    assert phi.valuation(g, after(("move", ("a", "b")), ("build", ("b", "d")))) == (1,)
+    assert phi.valuation(g, after(("build", ("a", "d")), ("cut", ("a", "d")))) == (3,)
+    assert phi.valuation(g, after(("move", ("a", "b")), ("move", ("b", "c")),
+                                  ("move", ("c", "d")))) == (0,)
+    with pytest.raises(FeatureError, match="no target .* reachable from 'a'"):
+        phi.valuation(g, after(("cut", ("b", "c"))))
+    # moving back over a cut link is impossible, but the walk is from the
+    # state's own links: b reaches d again once c-d is rebuilt around it
+    s = after(("move", ("a", "b")), ("cut", ("c", "d")), ("build", ("b", "d")))
+    assert phi.valuation(g, s) == (1,)

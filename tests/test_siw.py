@@ -1,5 +1,8 @@
 """Serialized subgoal search and greedy policy execution."""
 
+import sys
+import threading
+
 import pytest
 
 from widthplan import Outcome, bfs_optimal, domains, is_goal, replay
@@ -158,3 +161,76 @@ def test_siwr_totals_sum_every_iteration():
     for seg in res.segments:
         assert len(seg.iterations) == seg.k + 1
         assert seg.stats.expanded == sum(it.expanded for it in seg.iterations)
+
+
+# -- parity pins: plan length / segments / expanded / generated per sketch ------
+
+DELIVERY_PINS = {
+    (4, 4, (3, 8, 12), 1, 5): {"r4": (29, 3, 1211, 4080), "r5": (29, 6, 126, 483),
+                               "r8": (29, 29, 29, 130)},
+    (5, 5, (7, 13, 24), 1, 12): {"r4": (31, 3, 2421, 8420), "r5": (29, 6, 173, 718),
+                                 "r8": (29, 29, 29, 146)},
+    (6, 6, (3, 8, 20, 30, 12), 1, 5): {"r4": (56, 5, 11843, 41969), "r5": (52, 10, 323, 1363),
+                                       "r8": (52, 52, 52, 256)},
+}
+K_MAX = {"r4": 2, "r5": 1, "r8": 0}
+
+
+@pytest.mark.parametrize("layout", list(DELIVERY_PINS), ids=lambda l: f"{l[0]}x{l[1]}x{len(l[2])}")
+def test_siwr_delivery_parity_pins(layout):
+    width, height, packages, target, start = layout
+    bundle = domains.delivery(width, height, list(packages), target=target, start=start)
+    g = ground_bundle(bundle)
+    phi = bundle_features(bundle)
+    for rules, pin in DELIVERY_PINS[layout].items():
+        sketch = bundle_sketch(bundle, rules)
+        res = siw_r(g, sketch, phi, k_max=K_MAX[rules])
+        assert res.solved
+        assert (len(res.plan), len(res.segments), res.stats.expanded,
+                res.stats.generated) == pin, rules
+        # each segment's end valuation, reused from its subgoal test, is the
+        # valuation of the state the segment reaches
+        bound = phi.select(sketch.names_kinds)
+        s = g.init
+        for seg in res.segments:
+            assert seg.start_values == bound.valuation(g, s)
+            s = replay(g, seg.plan, s)[-1]
+            assert seg.end_values == bound.valuation(g, s)
+
+
+def test_run_policy_hanoi_odd_seven():
+    bundle = domains.hanoi_odd(7)
+    g = ground_bundle(bundle)
+    run = run_policy(g, bundle_sketch(bundle), bundle_features(bundle))
+    assert run.status == "goal" and len(run.actions) == 2**7 - 1
+    assert replay(g, run.actions)[-1] == run.states[-1]
+
+
+def test_concurrent_siwr_share_one_problem_and_features():
+    bundle = domains.delivery(4, 4, [3, 8, 12], target=1, start=5)
+    sketch = bundle_sketch(bundle, "r4")
+
+    def segments(problem, phi):
+        res = siw_r(problem, sketch, phi, k_max=2)
+        values = [phi.valuation(problem, s) for s in replay(problem, res.plan)]
+        return [(seg.k, seg.plan, seg.start_values, seg.end_values) for seg in res.segments], values
+
+    expected = segments(ground_bundle(bundle), bundle_features(bundle))
+    shared, shared_phi = ground_bundle(bundle), bundle_features(bundle)
+    results = [None] * 4
+
+    def work(i):
+        results[i] = segments(shared, shared_phi)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
