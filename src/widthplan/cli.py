@@ -216,7 +216,7 @@ def _cmd_oracle(args) -> int:
 
     if check == "width":
         space = oracle.enumerate_space(problem, args.cap)
-        width = oracle.effective_width(problem, args.k_cap)
+        width = oracle.effective_width_on(space, args.k_cap)
         if width is None:
             print(f"verdict=unbounded k_cap={args.k_cap}")
             return 1

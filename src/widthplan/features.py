@@ -450,14 +450,18 @@ def _hanoi_top_less(problem: GroundProblem, peg_i: str, peg_j: str) -> Kernel:
         below = atoms[aid].args[1]
         under[below] = under.get(below, 0) | 1 << aid
     smaller = {atoms[aid].args: 1 << aid for aid in problem.atoms_by_predicate.get("smaller", ())}
+    n_objects = len(problem.objects)
 
     def top(s: State, peg: str) -> str:
+        # a tower holds each object at most once, so a walk that is still
+        # climbing after n_objects steps has met a cycle of `on` atoms
         cur = peg
-        on = s & under.get(cur, 0)
-        while on:
-            cur = atoms[on.bit_length() - 1].args[0]
+        for _ in range(n_objects):
             on = s & under.get(cur, 0)
-        return cur
+            if not on:
+                return cur
+            cur = atoms[on.bit_length() - 1].args[0]
+        raise FeatureError(f"hanoi: cycle of on atoms above '{peg}'")
 
     def kernel(s: State) -> int:
         top_i = top(s, peg_i)

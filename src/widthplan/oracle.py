@@ -6,7 +6,8 @@ and sketch width over the induced subproblem family.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .features import FeatureSet
@@ -26,20 +27,26 @@ DEFAULT_CAP = 200_000
 
 @dataclass
 class StateSpace:
-    """Forward closure of the reachable states with cost maps.
+    """Forward closure of the reachable states with cost maps and the state
+    graph.
 
-    `cost_star` equals `cost` on non-goal states and the problem cost on goal
-    states.  Successor lists are recomputed on demand to keep memory linear
-    in the number of states.
+    States are numbered in breadth-first order, so `cost` does not decrease
+    along `states`.  The graph is stored once, in compressed sparse rows: row
+    i, `targets[offsets[i]:offsets[i + 1]]`, holds the successor index under
+    each action applicable in state i, in ascending action-id order.  Memory
+    is linear in the number of edges.  `cost_star` equals `cost` on non-goal
+    states and the problem cost on goal states.
     """
 
     problem: GroundProblem
     start: State
     states: list[State]
     index: dict[State, int]
-    cost: list[int]
-    goal_flags: list[bool]
+    cost: array  # array('i')
+    goal_flags: bytearray
     problem_cost: int | None
+    offsets: array  # array('i'), len(states) + 1 entries
+    targets: array  # array('i'), one entry per edge
     goal_test: GoalTest | None = None
     _goal_distance: list[int | None] | None = field(default=None, repr=False)
 
@@ -47,38 +54,38 @@ class StateSpace:
         return len(self.states)
 
     def is_goal_state(self, idx: int) -> bool:
-        return self.goal_flags[idx]
+        return bool(self.goal_flags[idx])
 
     def cost_star(self, idx: int) -> int | None:
         if self.goal_flags[idx]:
             return self.problem_cost
         return self.cost[idx]
 
+    def row(self, idx: int) -> array:
+        """Successor indices of state `idx`, one per applicable action."""
+        return self.targets[self.offsets[idx]:self.offsets[idx + 1]]
+
     def successors(self, idx: int) -> list[tuple[int, int]]:
         """(action_id, successor index) pairs in canonical order."""
-        s = self.states[idx]
-        out = []
-        for aid in applicable_actions(self.problem, s):
-            act = self.problem.actions[aid]
-            out.append((aid, self.index[(s & ~act.delete) | act.add]))
-        return out
+        return list(zip(applicable_actions(self.problem, self.states[idx]), self.row(idx)))
 
     @property
     def goal_distance(self) -> list[int | None]:
         """Backward breadth-first distance to the nearest goal state."""
         if self._goal_distance is None:
+            offsets, targets = self.offsets, self.targets
             preds: list[list[int]] = [[] for _ in self.states]
             for i in range(len(self.states)):
-                for _aid, j in self.successors(i):
+                for j in targets[offsets[i]:offsets[i + 1]]:
                     preds[j].append(i)
             dist: list[int | None] = [None] * len(self.states)
-            queue = deque()
-            for i, g in enumerate(self.goal_flags):
-                if g:
-                    dist[i] = 0
-                    queue.append(i)
-            while queue:
-                i = queue.popleft()
+            queue = [i for i, g in enumerate(self.goal_flags) if g]
+            for i in queue:
+                dist[i] = 0
+            pos = 0
+            while pos < len(queue):
+                i = queue[pos]
+                pos += 1
                 for j in preds[i]:
                     if dist[j] is None:
                         dist[j] = dist[i] + 1
@@ -97,54 +104,68 @@ def enumerate_space(
     """Breadth-first closure from the initial state (or `start`)."""
     root = problem.init if start is None else start
     test = goal_test if goal_test is not None else (lambda s: is_goal(problem, s))
-    states = [root]
+    actions = problem.actions
+    states = [root]  # also the FIFO: states are appended in dequeue order
     index = {root: 0}
-    cost = [0]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
+    cost = array("i", [0])
+    offsets = array("i", [0])
+    targets = array("i")
+    lookup, push = index.get, targets.append
+    i = 0
+    n = 1
+    while i < n:
         s = states[i]
+        c = cost[i] + 1
         for aid in applicable_actions(problem, s):
-            act = problem.actions[aid]
+            act = actions[aid]
             succ = (s & ~act.delete) | act.add
-            if succ in index:
-                continue
-            if len(states) >= cap:
-                raise OracleError(f"state space exceeds cap {cap}")
-            index[succ] = len(states)
-            states.append(succ)
-            cost.append(cost[i] + 1)
-            queue.append(index[succ])
-    goal_flags = [test(s) for s in states]
-    problem_cost = min(
-        (c for c, g in zip(cost, goal_flags) if g), default=None
+            j = lookup(succ)
+            if j is None:
+                if n >= cap:
+                    raise OracleError(f"state space exceeds cap {cap}")
+                j = index[succ] = n
+                n += 1
+                states.append(succ)
+                cost.append(c)
+            push(j)
+        offsets.append(len(targets))
+        i += 1
+    goal_flags = bytearray(test(s) for s in states)
+    first_goal = goal_flags.find(1)  # costs do not decrease along `states`
+    problem_cost = cost[first_goal] if first_goal >= 0 else None
+    return StateSpace(
+        problem, root, states, index, cost, goal_flags, problem_cost, offsets, targets, goal_test
     )
-    return StateSpace(problem, root, states, index, cost, goal_flags, problem_cost, goal_test)
 
 
 # ---------------------------------------------------------------------------
 # Optimal states for tuple sets
 
 
+def _first_holding(space: StateSpace, mask: State) -> int:
+    """Index of the first, hence cheapest, state making the tuple true; -1 if none."""
+    for i, s in enumerate(space.states):
+        if s & mask == mask:
+            return i
+    return -1
+
+
 def tuple_cost(space: StateSpace, mask: State) -> int | None:
     """Min cost of a state making the tuple true; None if unreachable."""
-    best = None
-    for i, s in enumerate(space.states):
-        if s & mask == mask and (best is None or space.cost[i] < best):
-            best = space.cost[i]
-    return best
+    i = _first_holding(space, mask)
+    return space.cost[i] if i >= 0 else None
 
 
 def opt_states(space: StateSpace, tuples: TupleSet) -> set[int]:
     """Indices of min-cost states for each tuple, unioned over the set."""
+    states, cost = space.states, space.cost
     out: set[int] = set()
     for mask in tuples.masks():
-        best = tuple_cost(space, mask)
-        if best is None:
+        first = _first_holding(space, mask)
+        if first < 0:
             continue
-        for i, s in enumerate(space.states):
-            if space.cost[i] == best and s & mask == mask:
-                out.add(i)
+        end = bisect_right(cost, cost[first], first)
+        out.update(i for i in range(first, end) if states[i] & mask == mask)
     return out
 
 
@@ -169,15 +190,17 @@ def is_cost_envelope(space: StateSpace, member_idxs: set[int]) -> EnvelopeReport
     start_idx = space.index[space.start]
     if start_idx not in member_idxs:
         return EnvelopeReport(False, space.start, "initial state not in the set")
+    goal, cost, pc = space.goal_flags, space.cost, space.problem_cost
+    offsets, targets = space.offsets, space.targets
     for i in member_idxs:
-        if space.goal_flags[i]:
+        if goal[i]:
             continue
-        ci = space.cost_star(i)
+        ci = cost[i]
         ok = False
-        for _aid, j in space.successors(i):
+        for j in targets[offsets[i]:offsets[i + 1]]:
             if j not in member_idxs:
                 continue
-            cj = space.cost_star(j)
+            cj = pc if goal[j] else cost[j]
             if cj is not None and ci < cj:
                 ok = True
                 break
@@ -239,23 +262,25 @@ def _admissible_direct(space: StateSpace, tuples: TupleSet) -> AdmissibleReport:
     if not any(start & m == m for m in masks):
         return AdmissibleReport(False, start, "no tuple true in the initial state")
 
+    states, cost, goal, pc = space.states, space.cost, space.goal_flags, space.problem_cost
+    offsets, targets = space.offsets, space.targets
     # Optimal plans ending in goal states are terminal; any other optimal
     # plan for a tuple must extend by one action into an optimal plan for
-    # another tuple of the set.
+    # another tuple of the set.  The min-cost states of a tuple of cost c all
+    # lie in the cost-c layer of `states`.
     for mask, c in zip(masks, costs):
-        for i, s in enumerate(space.states):
-            if space.cost[i] != c or s & mask != mask:
-                continue
-            if space.goal_flags[i]:
+        next_masks = [m2 for m2, c2 in zip(masks, costs) if c2 == c + 1]
+        lo = bisect_left(cost, c)
+        for i in range(lo, bisect_right(cost, c, lo)):
+            s = states[i]
+            if s & mask != mask or goal[i]:
                 continue
             extended = False
-            for _aid, j in space.successors(i):
-                if space.cost_star(j) != c + 1:
+            for j in targets[offsets[i]:offsets[i + 1]]:
+                if (pc if goal[j] else cost[j]) != c + 1:
                     continue
-                sj = space.states[j]
-                if any(
-                    c2 == c + 1 and sj & m2 == m2 for m2, c2 in zip(masks, costs)
-                ):
+                sj = states[j]
+                if any(sj & m2 == m2 for m2 in next_masks):
                     extended = True
                     break
             if not extended:
@@ -272,38 +297,61 @@ def _admissible_direct(space: StateSpace, tuples: TupleSet) -> AdmissibleReport:
 # Width bounds
 
 
-def _opt_membership(space: StateSpace, k: int) -> list[bool]:
+def _opt_membership(space: StateSpace, k: int) -> bytearray:
     """For T = all tuples of size <= k: whether each state is a min-cost
-    state of some tuple true in it (one pass per tuple size)."""
-    from itertools import combinations
+    state of some tuple true in it.
 
-    from .strips import atoms_of
-
+    Costs do not decrease along `states`, so a tuple's min-cost states are
+    the holders of the tuple in the first cost layer that holds it.  One pass
+    over the layers keeps, as bit masks, what earlier layers held: the atoms
+    (`seen`) and, per fluent atom a, the atoms held together with a
+    (`with_[a]`).  An atom is new in a layer iff it is not in `seen`; a pair
+    {a, b} is new iff b is not in `with_[a]`.
+    """
     if k >= 3:
         raise OracleError("width lower-bound check supports k <= 2")
-    best1: dict[int, int] = {}
-    best2: dict[tuple[int, int], int] = {}
-    for i, s in enumerate(space.states):
-        c = space.cost[i]
-        atoms = atoms_of(s)
-        if k >= 1:
-            for a in atoms:
-                if best1.get(a, c + 1) > c:
-                    best1[a] = c
-        if k >= 2:
-            for pair in combinations(atoms, 2):
-                if best2.get(pair, c + 1) > c:
-                    best2[pair] = c
-    member = [False] * len(space.states)
-    for i, s in enumerate(space.states):
-        c = space.cost[i]
-        atoms = atoms_of(s)
-        if k >= 1 and any(best1[a] == c for a in atoms):
-            member[i] = True
-        elif k >= 2 and any(best2[p] == c for p in combinations(atoms, 2)):
-            member[i] = True
-        elif k == 0:
-            member[i] = c == 0  # only the empty tuple, true exactly at cost 0
+    states, cost = space.states, space.cost
+    n = len(states)
+    member = bytearray(n)
+    if k <= 0:
+        member[0] = k == 0  # only the empty tuple, true exactly at cost 0
+        return member
+    # A non-fluent atom is held by every state, so a pair holding one is new
+    # exactly when its other atom is: the single-atom test covers it, and the
+    # pair test walks the fluent atoms only.
+    fluent = space.problem.fluent_mask
+    with_ = [0] * space.problem.n_atoms
+    seen = 0
+    lo = 0
+    while lo < n:
+        hi = bisect_right(cost, cost[lo], lo)
+        held = 0
+        for i in range(lo, hi):
+            held |= states[i]
+        new = held & ~seen
+        for i in range(lo, hi):
+            s = states[i]
+            if s & new:
+                member[i] = 1
+            elif k == 2:
+                rest = s & fluent
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if s & ~(with_[low.bit_length() - 1] | low):
+                        member[i] = 1
+                        break
+        if k == 2:
+            for i in range(lo, hi):
+                s = states[i]
+                rest = s & fluent
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    a = low.bit_length() - 1
+                    with_[a] |= s
+        seen |= held
+        lo = hi
     return member
 
 
@@ -319,16 +367,21 @@ def lower_bound_witness(space: StateSpace, k: int) -> bool:
     start_idx = space.index[space.start]
     if not member[start_idx]:
         return True
-    seen = {start_idx}
-    queue = deque([start_idx])
-    while queue:
-        i = queue.popleft()
-        if space.goal_flags[i] and space.cost[i] == space.problem_cost:
+    cost, goal, pc = space.cost, space.goal_flags, space.problem_cost
+    offsets, targets = space.offsets, space.targets
+    seen = bytearray(len(space))
+    seen[start_idx] = 1
+    queue = [start_idx]
+    pos = 0
+    while pos < len(queue):
+        i = queue[pos]
+        pos += 1
+        ci = cost[i]
+        if goal[i] and ci == pc:
             return False
-        ci = space.cost[i]
-        for _aid, j in space.successors(i):
-            if j not in seen and member[j] and space.cost[j] == ci + 1:
-                seen.add(j)
+        for j in targets[offsets[i]:offsets[i + 1]]:
+            if not seen[j] and member[j] and cost[j] == ci + 1:
+                seen[j] = 1
                 queue.append(j)
     return True
 
@@ -352,7 +405,33 @@ def effective_width(
     base = bfs_optimal(problem, goal_test, start=start, max_nodes=max_nodes)
     if not base.solved:
         raise OracleError(f"reference search failed: {base.reason}")
-    optimal = len(base.plan)
+    return _smallest_width(
+        problem, len(base.plan), k_cap, start=start, goal_test=goal_test, max_nodes=max_nodes
+    )
+
+
+def effective_width_on(space: StateSpace, k_cap: int = 3) -> int | None:
+    """`effective_width` from the space's start, with the optimal cost read
+    from the enumerated space instead of a reference search."""
+    if space.goal_test is None and space.problem.goal_neg:
+        raise OracleError("effective width requires a positive-conjunction goal")
+    if space.problem_cost is None:
+        raise OracleError("reference search failed: state space exhausted")
+    return _smallest_width(
+        space.problem, space.problem_cost, k_cap, start=space.start, goal_test=space.goal_test
+    )
+
+
+def _smallest_width(
+    problem: GroundProblem,
+    optimal: int,
+    k_cap: int,
+    *,
+    start: State | None = None,
+    goal_test: GoalTest | None = None,
+    max_nodes: int | None = None,
+) -> int | None:
+    """Smallest k <= k_cap whose IW(k) returns a plan of length `optimal`."""
     for k in range(k_cap + 1):
         result = iw_k(problem, k, goal_test, start=start, max_nodes=max_nodes)
         if result.solved and len(result.plan) == optimal:
@@ -445,29 +524,31 @@ def sketch_width_on(
                 pair_satisfies(rule, vals[a], vals[b]) for rule in sketch.rules
             )
 
-    start_idx = space.index[space.start]
+    states, index, goal_flags = space.states, space.index, space.goal_flags
+    offsets, targets = space.offsets, space.targets
+    start_idx = index[space.start]
     family: list[int] = [start_idx]
     in_family = {start_idx}
     pos = 0
     while pos < len(family):
         i = family[pos]
         pos += 1
-        if space.goal_flags[i]:
+        if goal_flags[i]:
             continue
         ca = state_val[i]
-        succs = space.successors(i)
+        succs = targets[offsets[i]:offsets[i + 1]]
         has_goal_or_subgoal_succ = any(
-            space.goal_flags[j] or compat[ca][state_val[j]] for _aid, j in succs
+            goal_flags[j] or compat[ca][state_val[j]] for j in succs
         )
         new_starts: list[int] = []
         if has_goal_or_subgoal_succ:
-            for _aid, j in succs:
-                if not space.goal_flags[j] and compat[ca][state_val[j]]:
+            for j in succs:
+                if not goal_flags[j] and compat[ca][state_val[j]]:
                     new_starts.append(j)
         else:
             new_starts = [
-                j for j in _reachable_from(space, i)
-                if not space.goal_flags[j] and compat[ca][state_val[j]]
+                j for j, _d in _breadth_first(space, i)
+                if not goal_flags[j] and compat[ca][state_val[j]]
             ]
         for j in new_starts:
             if j not in in_family:
@@ -476,51 +557,57 @@ def sketch_width_on(
                 if len(family) > family_cap:
                     raise OracleError(f"subproblem family exceeds cap {family_cap}")
 
-    bound = bind(sketch, phi)
+    # Subproblems ask for the problem's own goal; every state reachable from
+    # a family member is in the space, so subgoal tests are index lookups.
+    if space.goal_test is None:
+        goal = goal_flags
+    else:
+        goal = bytearray(is_goal(problem, s) for s in states)
     widths: dict[int, int | None] = {}
     worst: int = 0
     for i in family:
-        if space.goal_flags[i]:
+        if goal_flags[i]:
             widths[i] = 0
             continue
-        ca = state_val[i]
+        below = compat[state_val[i]]
 
-        def subgoal(st: State, ca=ca) -> bool:
-            if is_goal(problem, st):
-                return True
-            idx = space.index.get(st)
-            if idx is not None:
-                return compat[ca][state_val[idx]]
-            return _compat_direct(sketch, vals[ca], bound.valuation(problem, st))
+        def reached(j: int, below=below) -> bool:
+            return bool(goal[j] or below[state_val[j]])
 
-        try:
-            w = effective_width(problem, k_cap, start=space.states[i], goal_test=subgoal)
-        except OracleError:
-            w = None  # dead-end subproblem: no goal or subgoal reachable
+        def subgoal(st: State, reached=reached) -> bool:
+            return reached(index[st])
+
+        optimal = next((d for j, d in _breadth_first(space, i) if reached(j)), None)
+        # no goal or subgoal reachable: a dead-end subproblem
+        w = None if optimal is None else _smallest_width(
+            problem, optimal, k_cap, start=states[i], goal_test=subgoal
+        )
         widths[i] = w
         if w is None:
             return SketchWidthReport(
                 None, len(family), widths,
-                reason=f"subproblem from {problem.state_str(space.states[i])} "
+                reason=f"subproblem from {problem.state_str(states[i])} "
                 f"has width above {k_cap} or is a dead end",
             )
         worst = max(worst, w)
     return SketchWidthReport(worst, len(family), widths)
 
 
-def _compat_direct(sketch: Sketch, va, vb) -> bool:
-    return any(pair_satisfies(rule, va, vb) for rule in sketch.rules)
-
-
-def _reachable_from(space: StateSpace, i: int) -> list[int]:
-    seen = {i}
-    queue = deque([i])
-    order = []
-    while queue:
-        a = queue.popleft()
-        order.append(a)
-        for _aid, b in space.successors(a):
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return order
+def _breadth_first(space: StateSpace, i: int):
+    """(index, distance) of every state reachable from state i, in
+    breadth-first order."""
+    offsets, targets = space.offsets, space.targets
+    seen = bytearray(len(space))
+    seen[i] = 1
+    layer = [i]
+    d = 0
+    while layer:
+        nxt = []
+        for a in layer:
+            yield a, d
+            for b in targets[offsets[a]:offsets[a + 1]]:
+                if not seen[b]:
+                    seen[b] = 1
+                    nxt.append(b)
+        layer = nxt
+        d += 1

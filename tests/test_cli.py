@@ -119,6 +119,48 @@ def test_oracle_checks(gen_dir, capsys):
     assert main(["oracle", "lower-bound", *base, "--k", "1"]) == 1
 
 
+_UNSOLVABLE_DOMAIN = """(define (domain oneway)
+  (:predicates (at ?x) (link ?x ?y) (sealed))
+  (:action move :parameters (?x ?y)
+    :precondition (and (at ?x) (link ?x ?y))
+    :effect (and (at ?y) (not (at ?x)))))
+"""
+
+_UNSOLVABLE_PROBLEM = """(define (problem oneway-3) (:domain oneway)
+  (:objects a b c)
+  (:init (at a) (link a b) (link b c))
+  (:goal (and (sealed))))
+"""
+
+
+def test_oracle_width_outputs(gen_dir, tmp_path, capsys):
+    d = gen_dir["hanoi"]
+    base = ["--domain", str(d / "domain.pddl"), "--problem", str(d / "problem.pddl")]
+    assert main(["oracle", "width", *base]) == 0
+    assert capsys.readouterr().out == "width=2 certified=yes\n"
+    assert main(["oracle", "width", *base, "--k-cap", "1"]) == 1
+    assert capsys.readouterr().out == "verdict=unbounded k_cap=1\n"
+    assert main(["oracle", "width", *base, "--cap", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: state space exceeds cap 10")
+
+    from widthplan import domains
+
+    cases = [
+        (domains.marbles([1]).domain_text, domains.marbles([1]).problem_text,
+         "error: effective width requires a positive-conjunction goal"),
+        (_UNSOLVABLE_DOMAIN, _UNSOLVABLE_PROBLEM,
+         "error: reference search failed: state space exhausted"),
+    ]
+    for n, (domain_text, problem_text, message) in enumerate(cases):
+        (tmp_path / f"d{n}.pddl").write_text(domain_text)
+        (tmp_path / f"p{n}.pddl").write_text(problem_text)
+        code = main(["oracle", "width", "--domain", str(tmp_path / f"d{n}.pddl"),
+                     "--problem", str(tmp_path / f"p{n}.pddl")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(message)
+
+
 def test_oracle_sketch_checks(gen_dir, capsys):
     d = gen_dir["delivery"]
     base = [

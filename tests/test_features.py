@@ -337,3 +337,12 @@ def test_distance_over_fluent_adjacency():
     # state's own links: b reaches d again once c-d is rebuilt around it
     s = after(("move", ("a", "b")), ("cut", ("c", "d")), ("build", ("b", "d")))
     assert phi.valuation(g, s) == (1,)
+
+
+def test_hanoi_builtins_reject_a_cycle_of_on_atoms():
+    bundle = domains.hanoi(1)
+    g = ground_bundle(bundle)
+    phi = parse_features(bundle.features_text)
+    cycle = g.init | 1 << g.atom_id("on", ("peg1", "d1"))  # on(d1,peg1) holds initially
+    with pytest.raises(FeatureError, match="cycle"):
+        phi.valuation(g, cycle)

@@ -1,15 +1,23 @@
 """Brute-force verification checks against the search algorithms."""
 
 import random
+import zlib
+from itertools import combinations
 
 import pytest
 
-from widthplan import atoms_of, bfs_optimal, domains, iw_t
+from widthplan import (
+    applicable_actions, apply, atoms_of, bfs_optimal, domains, ground, iw_t,
+    parse_domain, parse_problem, replay,
+)
+from widthplan.features import parse_features
 from widthplan.novelty import TupleSet, parse_tuple_set
 from widthplan.oracle import (
     OracleError,
+    _opt_membership,
     enumerate_space,
     effective_width,
+    effective_width_on,
     is_admissible,
     is_cost_envelope,
     is_feature_acyclic_on,
@@ -323,3 +331,223 @@ def test_iwphi_optimal_when_policy_valuations_form_envelope():
             result = iw_phi(g, phi)
             assert result.solved
             assert len(result.plan) == space.problem_cost
+
+
+# ---------------------------------------------------------------------------
+# The explicit state graph and the walks over it
+
+GRAPH_INSTANCES = [
+    ("grid-3x3", lambda: domains.grid(3, 3, 1, 9)),
+    ("grid2-3x3", lambda: domains.grid2(3, 3, (1, 1), (3, 3))),
+    ("qclear-3", lambda: domains.blocks_clear(3)),
+    ("qon-1-2", lambda: domains.blocks_on(1, 2)),
+    ("delivery-3x2", lambda: domains.delivery(3, 2, [2, 5], 1, 4)),
+    ("hanoi-3", lambda: domains.hanoi(3)),
+    ("marbles-2-1", lambda: domains.marbles([2, 1])),
+]
+
+
+@pytest.fixture(scope="module", params=GRAPH_INSTANCES, ids=[n for n, _ in GRAPH_INSTANCES])
+def graph_space(request):
+    g = ground_bundle(request.param[1]())
+    return g, enumerate_space(g)
+
+
+def test_rows_match_recomputed_successors(graph_space):
+    g, space = graph_space
+    assert len(space.offsets) == len(space) + 1
+    assert space.offsets[0] == 0 and space.offsets[-1] == len(space.targets)
+    for i, s in enumerate(space.states):
+        aids = applicable_actions(g, s)
+        expected = [space.index[apply(g, s, aid)] for aid in aids]
+        assert list(space.row(i)) == expected
+        assert space.successors(i) == list(zip(aids, expected))
+
+
+def test_cost_is_breadth_first_and_does_not_decrease(graph_space):
+    _g, space = graph_space
+    cost = space.cost
+    assert cost[0] == 0 and space.states[0] == space.start
+    assert all(a <= b for a, b in zip(cost, cost[1:]))
+    best_pred = [None] * len(space)
+    for i in range(len(space)):
+        for j in space.row(i):
+            assert cost[j] <= cost[i] + 1
+            if best_pred[j] is None or cost[i] < best_pred[j]:
+                best_pred[j] = cost[i]
+    assert all(best_pred[j] == cost[j] - 1 for j in range(1, len(space)))
+
+
+def _membership_reference(space, k):
+    """Min-cost membership for all tuples of size <= k, by tuple dicts."""
+    best: dict[tuple[int, ...], int] = {}
+    tuples_of = []
+    for i, s in enumerate(space.states):
+        atoms = atoms_of(s)
+        ts = [t for size in range(1, k + 1) for t in combinations(atoms, size)]
+        tuples_of.append(ts)
+        for t in ts:
+            best[t] = min(best.get(t, space.cost[i]), space.cost[i])
+    if k == 0:
+        return [c == 0 for c in space.cost]
+    return [any(best[t] == space.cost[i] for t in ts) for i, ts in enumerate(tuples_of)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_opt_membership_matches_tuple_dicts(graph_space, k):
+    _g, space = graph_space
+    assert [bool(m) for m in _opt_membership(space, k)] == _membership_reference(space, k)
+
+
+def test_opt_membership_refuses_k3(qclear2):
+    g, _ = qclear2
+    with pytest.raises(OracleError, match="k <= 2"):
+        _opt_membership(enumerate_space(g), 3)
+
+
+def test_cap_raises_at_the_same_state_count(graph_space):
+    g, space = graph_space
+    assert len(enumerate_space(g, cap=len(space))) == len(space)
+    with pytest.raises(OracleError, match=f"exceeds cap {len(space) - 1}"):
+        enumerate_space(g, cap=len(space) - 1)
+
+
+def _crc(values) -> int:
+    return zlib.crc32(repr(list(values)).encode())
+
+
+def _random_tuple(rng, space, size_cap=3):
+    atoms = atoms_of(space.states[rng.randrange(len(space))])
+    return tuple(rng.sample(atoms, rng.randint(1, min(size_cap, len(atoms)))))
+
+
+# name -> (states, lower bounds for k = 0, 1, 2, crc32 of goal_distance, of
+# the tuple costs, of the opt_states sets, of both admissibility routes'
+# reports, admissible sets among those checked); recorded before the state
+# graph was stored, when every walk recomputed successors
+ORACLE_PINS = {
+    "grid2-3x3": (9, (True, True, False), 2346068577, 2111518301, 2013817670, 1314707765, 2),
+    "qclear-3": (125, (True, False, False), 3582801826, 1310113048, 2298717887, 1804324859, 2),
+    "qon-1-2": (866, (True, True, False), 1561992479, 3032592012, 1281501659, 524431963, 1),
+    "delivery-3x2": (288, (True, True, True), 2145115839, 12713863, 3773599821, 1300365556, 1),
+    "hanoi-3": (54, (True, True, False), 138377497, 2222556866, 2118554113, 3702283054, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PINS))
+def test_oracle_parity_pins(name):
+    bundle = dict(GRAPH_INSTANCES)[name]()
+    g = ground_bundle(bundle)
+    space = enumerate_space(g)
+    rng = random.Random(zlib.crc32(name.encode()))
+    singles = [tuple_cost(space, 1 << a) for a in range(g.n_atoms)]
+    drawn = [_random_tuple(rng, space) for _ in range(200)]
+    costs = singles + [tuple_cost(space, TupleSet.from_iterable([t]).masks()[0]) for t in drawn]
+    sets = [
+        TupleSet.from_iterable([_random_tuple(rng, space) for _ in range(rng.randint(1, 6))])
+        for _ in range(60)
+    ]
+    for k in (1, 2):  # every tuple of size <= k that some state holds
+        sets.append(TupleSet.from_iterable(sorted(
+            {t for s in space.states for n in range(1, k + 1) for t in combinations(atoms_of(s), n)}
+        )))
+    sets += [parse_tuple_set(text, g) for _, text in sorted(bundle.tuple_sets.items())]
+    # the states of an optimal plan, each as one tuple
+    sets.append(TupleSet.from_iterable(tuple(atoms_of(s)) for s in replay(g, bfs_optimal(g).plan)))
+    chosen, reports, admissible = [], [], 0
+    for ts in sets:
+        chosen.append(sorted(opt_states(space, ts)))
+        report = is_admissible(space, ts)
+        env = report.envelope
+        reports.append((report.ok, report.witness, report.reason,
+                        env and (env.ok, env.witness, env.reason)))
+        admissible += report.ok
+    got = (
+        len(space),
+        tuple(lower_bound_witness(space, k) for k in range(3)),
+        _crc(space.goal_distance),
+        _crc(costs),
+        _crc(chosen),
+        _crc(reports),
+        admissible,
+    )
+    assert got == ORACLE_PINS[name]
+
+
+# sketch -> (sketch width, family size, crc32 of the subproblem widths) on
+# delivery(3, 2, [2, 5], 1, 4); recorded before subproblem optimal lengths
+# were read from the state graph
+SKETCH_WIDTH_PINS = {
+    "policy": (0, 10, 1091240948),
+    "r0": (None, 1, 3381564966),
+    "r1": (None, 1, 3381564966),
+    "r2": (None, 61, 1327262565),
+    "r3": (1, 210, 3960063109),
+    "r4": (2, 73, 1136786366),
+    "r5": (1, 133, 620650367),
+    "r6": (None, 2, 3060983770),
+    "r7": (None, 1, 3381564966),
+    "r8": (0, 10, 1091240948),
+}
+
+
+def test_sketch_width_family_pins():
+    bundle = domains.delivery(3, 2, [2, 5], 1, 4)
+    g = ground_bundle(bundle)
+    phi = bundle_features(bundle)
+    space = enumerate_space(g)
+    got = {}
+    for name in sorted(bundle.sketches):
+        report = sketch_width_on(space, parse_sketch(bundle.sketches[name]), phi, 2)
+        got[name] = (report.value, report.family_size, _crc(report.subproblem_widths.items()))
+    assert got == SKETCH_WIDTH_PINS
+
+
+_ONEWAY_DOMAIN = """(define (domain oneway)
+  (:predicates (at ?x) (link ?x ?y) (sealed))
+  (:action move :parameters (?x ?y)
+    :precondition (and (at ?x) (link ?x ?y))
+    :effect (and (at ?y) (not (at ?x)))))
+"""
+
+_ONEWAY_PROBLEM = """(define (problem oneway-3) (:domain oneway)
+  (:objects a b c)
+  (:init (at a) (link a b) (link b c))
+  (:goal (and (sealed))))
+"""
+
+
+def test_sketch_width_dead_end_subproblem():
+    # from b neither the (unreachable) goal nor a subgoal of b can be reached
+    g = ground(parse_domain(_ONEWAY_DOMAIN), parse_problem(_ONEWAY_PROBLEM))
+    phi = parse_features("feature A bool = nonzero(count(at(a)))\n")
+    sketch = parse_sketch("features { A: bool; }\nrules { { A } => { !A }; }")
+    space = enumerate_space(g)
+    assert len(space) == 3 and space.problem_cost is None
+    report = sketch_width_on(space, sketch, phi, 2)
+    assert report.value is None and report.family_size == 2
+    assert report.subproblem_widths == {0: 0, 1: None}
+    assert "at(b)" in report.reason and "dead end" in report.reason
+
+
+def test_effective_width_on_matches_reference_search():
+    for make in [
+        lambda: domains.blocks_clear(3),
+        lambda: domains.grid2(3, 3, (1, 1), (3, 3)),
+        lambda: domains.delivery(3, 1, [1, 2, 3], target=1, start=1),
+        lambda: domains.hanoi(3),
+    ]:
+        g = ground_bundle(make())
+        space = enumerate_space(g)
+        assert effective_width_on(space, 2) == effective_width(g, 2)
+
+
+def test_effective_width_on_errors():
+    g = ground_bundle(domains.marbles([1]))
+    with pytest.raises(OracleError, match="positive-conjunction"):
+        effective_width_on(enumerate_space(g))
+    g = ground(parse_domain(_ONEWAY_DOMAIN), parse_problem(_ONEWAY_PROBLEM))
+    with pytest.raises(OracleError, match="reference search failed: state space exhausted"):
+        effective_width_on(enumerate_space(g))
+    with pytest.raises(OracleError, match="reference search failed: state space exhausted"):
+        effective_width(g)
