@@ -117,7 +117,7 @@ def _cmd_solve(args) -> int:
     if alg == "bfs":
         result = bfs_optimal(problem, max_nodes=args.max_nodes)
     elif alg == "iw":
-        result = iw(problem, max_nodes=args.max_nodes)
+        result = iw(problem, max_k=args.k, max_nodes=args.max_nodes)
     elif alg == "iwk":
         if args.k is None:
             raise ValueError("--k is required for --alg iwk")

@@ -149,6 +149,9 @@ class FeatureSet:
         self.by_name = {f.name: f for f in features}
         # (problem, kernels, cover) of the last problem valued
         self._compiled: tuple[GroundProblem, tuple[Kernel, ...], int] | None = None
+        # feature name -> (problem, kernel, cover), shared with every
+        # selection; threads racing on an entry at worst compile it twice
+        self._kernels: dict[str, tuple[GroundProblem, Kernel, int]] = {}
 
     def __len__(self) -> int:
         return len(self.features)
@@ -159,13 +162,19 @@ class FeatureSet:
     def valuation(
         self, problem: GroundProblem, s: State, meter: VisitMeter | None = None
     ) -> tuple[int, ...]:
-        """Feature values in `s`; the kernels are compiled on the first call
-        for `problem` and kept until another problem is valued."""
+        """Feature values in `s`.  A kernel is compiled once per problem and
+        shared by a set and every set selected from it; it is kept until
+        another problem is valued."""
         compiled = self._compiled
         if compiled is None or compiled[0] is not problem:
-            parts = [compile_feature(f, problem) for f in self.features]
-            kernels = tuple(kernel for kernel, _ in parts)
-            compiled = self._compiled = (problem, kernels, sum(c for _, c in parts))
+            parts = []
+            for f in self.features:
+                entry = self._kernels.get(f.name)
+                if entry is None or entry[0] is not problem:
+                    entry = self._kernels[f.name] = (problem, *compile_feature(f, problem))
+                parts.append(entry)
+            kernels = tuple(kernel for _, kernel, _ in parts)
+            compiled = self._compiled = (problem, kernels, sum(c for _, _, c in parts))
         if meter is not None:
             meter.add(compiled[2])
         return tuple([kernel(s) for kernel in compiled[1]])
@@ -182,7 +191,9 @@ class FeatureSet:
                     f"feature '{name}' is {f.kind} in the bundle but {kind} in the sketch"
                 )
             chosen.append(f)
-        return FeatureSet(chosen)
+        selected = FeatureSet(chosen)
+        selected._kernels = self._kernels
+        return selected
 
 
 def boolean_projection(phi: FeatureSet, values: tuple[int, ...]) -> tuple[bool, ...]:

@@ -47,13 +47,12 @@ class TupleUniverse:
     """All tuples of 1..k atoms over an n-atom problem, never materialized.
 
     `fluent` is the mask of atoms that can change truth value; a novelty
-    table over the universe then tracks tuples of fluent atoms only.  None
-    means every atom is fluent.
+    table over the universe tracks tuples of fluent atoms only.
     """
 
     n_atoms: int
     k: int
-    fluent: State | None = None
+    fluent: State
 
     def __len__(self) -> int:
         return sum(comb(self.n_atoms, i) for i in range(1, self.k + 1))
@@ -78,11 +77,11 @@ class NoveltyTable:
     the check to tuples containing a flipped atom; this is only sound when
     the parent state was itself registered earlier.
 
-    Over a universe with a fluent mask, only tuples of fluent atoms are
-    kept.  The states one search registers all share their non-fluent atoms,
-    so a tuple holding a true non-fluent atom is new exactly when its fluent
-    part is, except in the first registered state, which is also novel when
-    it holds any non-fluent atom.  The verdicts are those of the full
+    Over a universe, only tuples of fluent atoms are kept.  The states one
+    search registers all share their non-fluent atoms, so a tuple holding a
+    true non-fluent atom is new exactly when its fluent part is, except in
+    the first registered state, which is also novel when it holds any
+    non-fluent atom.  The verdicts are those of the full
     universe.
     """
 
@@ -93,12 +92,11 @@ class NoveltyTable:
             self._seen = [False] * len(self._masks)
         else:
             self._k = tracked.k
-            every = (1 << tracked.n_atoms) - 1
-            fluent = every if tracked.fluent is None else tracked.fluent
-            fluent_atoms = atoms_of(fluent)
+            self._fluent = tracked.fluent
+            fluent_atoms = atoms_of(tracked.fluent)
             n = len(fluent_atoms)
-            self._fluent = fluent
-            self._static = every & ~fluent  # None once a first state is registered
+            # None once a first state is registered
+            self._static = ((1 << tracked.n_atoms) - 1) & ~tracked.fluent
             # dense ranks of the fluent atoms, monotone in atom id; None when
             # every atom is fluent and ranks are atom ids
             self._rank: list[int] | None = None
@@ -110,14 +108,6 @@ class NoveltyTable:
             self._seen1 = 0
             self._seen2 = bytearray(n * n) if tracked.k >= 2 else None
             self._seen_hi: set[tuple[int, ...]] = set()
-
-    @staticmethod
-    def for_tuples(tuples: TupleSet) -> "NoveltyTable":
-        return NoveltyTable(tuples)
-
-    @staticmethod
-    def for_universe(problem: GroundProblem, k: int) -> "NoveltyTable":
-        return NoveltyTable(all_tuples_up_to(problem, k))
 
     def register(self, s: State, delta: State | None = None) -> bool:
         if isinstance(self.tracked, TupleSet):

@@ -14,7 +14,7 @@ from .features import FeatureSet
 from .novelty import TupleSet
 from .search import GoalTest, bfs_optimal, iw_k
 from .siw import bind
-from .sketches import Sketch, pair_satisfies
+from .sketches import Sketch, pair_satisfies, strongly_connected_components
 from .strips import GroundProblem, State, applicable_actions, is_goal
 
 
@@ -39,7 +39,6 @@ class StateSpace:
     """
 
     problem: GroundProblem
-    start: State
     states: list[State]
     index: dict[State, int]
     cost: array  # array('i')
@@ -47,11 +46,15 @@ class StateSpace:
     problem_cost: int | None
     offsets: array  # array('i'), len(states) + 1 entries
     targets: array  # array('i'), one entry per edge
-    goal_test: GoalTest | None = None
     _goal_distance: list[int | None] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @property
+    def start(self) -> State:
+        """The initial state; its index is 0."""
+        return self.states[0]
 
     def is_goal_state(self, idx: int) -> bool:
         return bool(self.goal_flags[idx])
@@ -94,16 +97,9 @@ class StateSpace:
         return self._goal_distance
 
 
-def enumerate_space(
-    problem: GroundProblem,
-    cap: int = DEFAULT_CAP,
-    *,
-    start: State | None = None,
-    goal_test: GoalTest | None = None,
-) -> StateSpace:
-    """Breadth-first closure from the initial state (or `start`)."""
-    root = problem.init if start is None else start
-    test = goal_test if goal_test is not None else (lambda s: is_goal(problem, s))
+def enumerate_space(problem: GroundProblem, cap: int = DEFAULT_CAP) -> StateSpace:
+    """Breadth-first closure from the initial state."""
+    root = problem.init
     actions = problem.actions
     states = [root]  # also the FIFO: states are appended in dequeue order
     index = {root: 0}
@@ -130,12 +126,10 @@ def enumerate_space(
             push(j)
         offsets.append(len(targets))
         i += 1
-    goal_flags = bytearray(test(s) for s in states)
+    goal_flags = bytearray(is_goal(problem, s) for s in states)
     first_goal = goal_flags.find(1)  # costs do not decrease along `states`
     problem_cost = cost[first_goal] if first_goal >= 0 else None
-    return StateSpace(
-        problem, root, states, index, cost, goal_flags, problem_cost, offsets, targets, goal_test
-    )
+    return StateSpace(problem, states, index, cost, goal_flags, problem_cost, offsets, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +181,7 @@ def is_cost_envelope(space: StateSpace, member_idxs: set[int]) -> EnvelopeReport
     """A set of states is a cost-envelope iff it contains the initial state
     and every non-goal member has a successor member of strictly larger
     finite optimal cost."""
-    start_idx = space.index[space.start]
-    if start_idx not in member_idxs:
+    if 0 not in member_idxs:
         return EnvelopeReport(False, space.start, "initial state not in the set")
     goal, cost, pc = space.goal_flags, space.cost, space.problem_cost
     offsets, targets = space.offsets, space.targets
@@ -211,11 +204,9 @@ def is_cost_envelope(space: StateSpace, member_idxs: set[int]) -> EnvelopeReport
     return EnvelopeReport(True)
 
 
-def _require_strips(space: StateSpace, what: str):
-    if space.problem.goal_neg:
+def _require_strips(problem: GroundProblem, what: str):
+    if problem.goal_neg:
         raise OracleError(f"{what} requires a positive-conjunction goal")
-    if space.goal_test is not None:
-        raise OracleError(f"{what} requires the problem's own goal, not a custom test")
 
 
 @dataclass
@@ -238,7 +229,7 @@ def is_admissible(space: StateSpace, tuples: TupleSet) -> AdmissibleReport:
     of cost exactly one more.  Envelope route: the union of min-cost states
     is a cost-envelope.
     """
-    _require_strips(space, "admissibility")
+    _require_strips(space.problem, "admissibility")
     for mask in tuples.masks():
         if tuple_cost(space, mask) is None:
             atoms = space.problem.state_str(mask)
@@ -358,20 +349,19 @@ def _opt_membership(space: StateSpace, k: int) -> bytearray:
 def lower_bound_witness(space: StateSpace, k: int) -> bool:
     """True iff no optimal goal-reaching trajectory stays inside the min-cost
     states of size-<=k tuples; this certifies that the width exceeds k."""
-    _require_strips(space, "the width lower bound")
+    _require_strips(space.problem, "the width lower bound")
     if space.problem_cost is None:
         raise OracleError("width lower bound needs a solvable instance")
     member = _opt_membership(space, k)
     # forward reachability from the start through cost+1 transitions inside
     # the membership set, looking for a closest goal state
-    start_idx = space.index[space.start]
-    if not member[start_idx]:
+    if not member[0]:
         return True
     cost, goal, pc = space.cost, space.goal_flags, space.problem_cost
     offsets, targets = space.offsets, space.targets
     seen = bytearray(len(space))
-    seen[start_idx] = 1
-    queue = [start_idx]
+    seen[0] = 1
+    queue = [0]
     pos = 0
     while pos < len(queue):
         i = queue[pos]
@@ -386,40 +376,27 @@ def lower_bound_witness(space: StateSpace, k: int) -> bool:
     return True
 
 
-def effective_width(
-    problem: GroundProblem,
-    k_cap: int = 3,
-    *,
-    start: State | None = None,
-    goal_test: GoalTest | None = None,
-    max_nodes: int | None = None,
-) -> int | None:
+def effective_width(problem: GroundProblem, k_cap: int = 3) -> int | None:
     """Smallest k <= k_cap for which the novelty search of width k returns a
     plan of optimal length; None when every k up to the cap falls short.
 
     This surrogate upper-bounds how much pruning the instance tolerates; a
     certified width needs the lower-bound witness bracket as well.
     """
-    if goal_test is None and problem.goal_neg:
-        raise OracleError("effective width requires a positive-conjunction goal")
-    base = bfs_optimal(problem, goal_test, start=start, max_nodes=max_nodes)
+    _require_strips(problem, "effective width")
+    base = bfs_optimal(problem)
     if not base.solved:
         raise OracleError(f"reference search failed: {base.reason}")
-    return _smallest_width(
-        problem, len(base.plan), k_cap, start=start, goal_test=goal_test, max_nodes=max_nodes
-    )
+    return _smallest_width(problem, len(base.plan), k_cap)
 
 
 def effective_width_on(space: StateSpace, k_cap: int = 3) -> int | None:
-    """`effective_width` from the space's start, with the optimal cost read
-    from the enumerated space instead of a reference search."""
-    if space.goal_test is None and space.problem.goal_neg:
-        raise OracleError("effective width requires a positive-conjunction goal")
+    """`effective_width` with the optimal cost read from the enumerated space
+    instead of a reference search."""
+    _require_strips(space.problem, "effective width")
     if space.problem_cost is None:
         raise OracleError("reference search failed: state space exhausted")
-    return _smallest_width(
-        space.problem, space.problem_cost, k_cap, start=space.start, goal_test=space.goal_test
-    )
+    return _smallest_width(space.problem, space.problem_cost, k_cap)
 
 
 def _smallest_width(
@@ -429,11 +406,10 @@ def _smallest_width(
     *,
     start: State | None = None,
     goal_test: GoalTest | None = None,
-    max_nodes: int | None = None,
 ) -> int | None:
     """Smallest k <= k_cap whose IW(k) returns a plan of length `optimal`."""
     for k in range(k_cap + 1):
-        result = iw_k(problem, k, goal_test, start=start, max_nodes=max_nodes)
+        result = iw_k(problem, k, goal_test, start=start)
         if result.solved and len(result.plan) == optimal:
             return k
     return None
@@ -443,7 +419,10 @@ def _smallest_width(
 # Feature-acyclicity and sketch width
 
 
-def _valuation_table(space: StateSpace, sketch: Sketch, phi: FeatureSet):
+def _compatibility(space: StateSpace, sketch: Sketch, phi: FeatureSet):
+    """Per state, the index of its feature valuation among the realized
+    ones; and per pair (a, b) of realized valuations, whether some rule is
+    compatible with going from a to b."""
     bound = bind(sketch, phi)
     vals: list[tuple[int, ...]] = []
     val_index: dict[tuple[int, ...], int] = {}
@@ -456,7 +435,11 @@ def _valuation_table(space: StateSpace, sketch: Sketch, phi: FeatureSet):
             val_index[v] = vi
             vals.append(v)
         state_val.append(vi)
-    return vals, state_val
+    compat = [
+        [any(pair_satisfies(rule, va, vb) for rule in sketch.rules) for vb in vals]
+        for va in vals
+    ]
+    return state_val, compat
 
 
 def is_feature_acyclic_on(space: StateSpace, sketch: Sketch, phi: FeatureSet) -> bool:
@@ -467,22 +450,12 @@ def is_feature_acyclic_on(space: StateSpace, sketch: Sketch, phi: FeatureSet) ->
     repeating a valuation exists iff the compatibility digraph over the
     realized valuations has a cycle (self-loops included).
     """
-    vals, _state_val = _valuation_table(space, sketch, phi)
-    n = len(vals)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            # pair (s, s') compatible means s' precedes s: edge a -> b
-            if any(pair_satisfies(rule, vals[a], vals[b]) for rule in sketch.rules):
-                succ[a].append(b)
-    from .sketches import strongly_connected_components
-
-    sccs = strongly_connected_components(n, succ)
-    for scc in sccs:
-        if len(scc) > 1:
-            return False
-        v = scc[0]
-        if v in succ[v]:
+    _, compat = _compatibility(space, sketch, phi)
+    n = len(compat)
+    # pair (s, s') compatible means s' precedes s: edge a -> b
+    succ = [[b for b in range(n) if row[b]] for row in compat]
+    for scc in strongly_connected_components(n, succ):
+        if len(scc) > 1 or compat[scc[0]][scc[0]]:
             return False
     return True
 
@@ -500,12 +473,7 @@ class SketchWidthReport:
 
 
 def sketch_width_on(
-    space: StateSpace,
-    sketch: Sketch,
-    phi: FeatureSet,
-    k_cap: int = 2,
-    *,
-    family_cap: int = 10_000,
+    space: StateSpace, sketch: Sketch, phi: FeatureSet, k_cap: int = 2
 ) -> SketchWidthReport:
     """Max effective width over the family of subproblems the sketch induces
     from the initial state.
@@ -515,20 +483,11 @@ def sketch_width_on(
     subgoals only do when no successor of s is a goal or subgoal.
     """
     problem = space.problem
-    vals, state_val = _valuation_table(space, sketch, phi)
-    nvals = len(vals)
-    compat = [[False] * nvals for _ in range(nvals)]
-    for a in range(nvals):
-        for b in range(nvals):
-            compat[a][b] = any(
-                pair_satisfies(rule, vals[a], vals[b]) for rule in sketch.rules
-            )
-
+    state_val, compat = _compatibility(space, sketch, phi)
     states, index, goal_flags = space.states, space.index, space.goal_flags
     offsets, targets = space.offsets, space.targets
-    start_idx = index[space.start]
-    family: list[int] = [start_idx]
-    in_family = {start_idx}
+    family: list[int] = [0]
+    in_family = {0}
     pos = 0
     while pos < len(family):
         i = family[pos]
@@ -554,15 +513,9 @@ def sketch_width_on(
             if j not in in_family:
                 in_family.add(j)
                 family.append(j)
-                if len(family) > family_cap:
-                    raise OracleError(f"subproblem family exceeds cap {family_cap}")
 
     # Subproblems ask for the problem's own goal; every state reachable from
     # a family member is in the space, so subgoal tests are index lookups.
-    if space.goal_test is None:
-        goal = goal_flags
-    else:
-        goal = bytearray(is_goal(problem, s) for s in states)
     widths: dict[int, int | None] = {}
     worst: int = 0
     for i in family:
@@ -572,7 +525,7 @@ def sketch_width_on(
         below = compat[state_val[i]]
 
         def reached(j: int, below=below) -> bool:
-            return bool(goal[j] or below[state_val[j]])
+            return bool(goal_flags[j] or below[state_val[j]])
 
         def subgoal(st: State, reached=reached) -> bool:
             return reached(index[st])

@@ -11,6 +11,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 from .novelty import NoveltyTable, TupleSet, all_tuples_up_to
@@ -30,7 +31,6 @@ class SearchStats:
     expanded: int = 0
     generated: int = 0
     max_queue: int = 0
-    novel: int = 0
     pruned: int = 0
     pruned_duplicate: int = 0
     wall_ms: float = 0.0
@@ -43,7 +43,6 @@ def sum_stats(parts) -> SearchStats:
         total.expanded += st.expanded
         total.generated += st.generated
         total.max_queue = max(total.max_queue, st.max_queue)
-        total.novel += st.novel
         total.pruned += st.pruned
         total.pruned_duplicate += st.pruned_duplicate
         total.wall_ms += st.wall_ms
@@ -88,23 +87,22 @@ def _extract_plan(node: _Node) -> list[int]:
     return plan
 
 
-def _goal_test(problem: GroundProblem, goal_test: GoalTest | None) -> GoalTest:
-    if goal_test is not None:
-        return goal_test
-    return lambda s: is_goal(problem, s)
-
-
 def _pruned_bfs(
     problem: GroundProblem,
     accept: Callable[[State, State | None], bool],
-    goal_test: GoalTest,
-    start: State,
     max_nodes: int | None,
+    goal_test: GoalTest | None = None,
+    start: State | None = None,
 ) -> SearchResult:
-    """Shared engine: expand a dequeued non-goal node iff `accept` says so."""
+    """Shared engine: expand a dequeued non-goal node iff `accept` says so.
+    The search starts from `start` (default: the initial state) and stops at
+    the first state `goal_test` accepts (default: the problem's goal)."""
     t0 = time.perf_counter()
+    if goal_test is None:
+        goal_test = partial(is_goal, problem)
     stats = SearchStats()
-    queue: deque[_Node] = deque([_Node(start, None, None, None)])
+    root = problem.init if start is None else start
+    queue: deque[_Node] = deque([_Node(root, None, None, None)])
     stats.generated = 1
     stats.max_queue = 1
     dequeued: set[State] = set()
@@ -122,7 +120,6 @@ def _pruned_bfs(
             dequeued.add(s)
             continue
         dequeued.add(s)
-        stats.novel += 1
         stats.expanded += 1
         for aid in applicable_actions(problem, s):
             act = problem.actions[aid]
@@ -141,17 +138,10 @@ def _pruned_bfs(
     return SearchResult(Outcome.FAILURE, None, stats, reason="queue exhausted")
 
 
-def bfs_optimal(
-    problem: GroundProblem,
-    goal_test: GoalTest | None = None,
-    *,
-    start: State | None = None,
-    max_nodes: int | None = None,
-) -> SearchResult:
+def bfs_optimal(problem: GroundProblem, *, max_nodes: int | None = None) -> SearchResult:
     """Plain breadth-first search with duplicate elimination; optimal plans."""
     t0 = time.perf_counter()
-    test = _goal_test(problem, goal_test)
-    root = problem.init if start is None else start
+    root = problem.init
     stats = SearchStats()
     queue: deque[State] = deque([root])
     parent: dict[State, tuple[State, int] | None] = {root: None}
@@ -160,7 +150,7 @@ def bfs_optimal(
 
     while queue:
         s = queue.popleft()
-        if test(s):
+        if is_goal(problem, s):
             plan = []
             cur = s
             while parent[cur] is not None:
@@ -192,23 +182,11 @@ def bfs_optimal(
 
 
 def iw_t(
-    problem: GroundProblem,
-    tuples: TupleSet,
-    goal_test: GoalTest | None = None,
-    *,
-    start: State | None = None,
-    max_nodes: int | None = None,
+    problem: GroundProblem, tuples: TupleSet, *, max_nodes: int | None = None
 ) -> SearchResult:
     """Breadth-first search pruning states that make no tracked tuple true
     for the first time; FAILURE means the tuple set is not admissible."""
-    table = NoveltyTable.for_tuples(tuples)
-    return _pruned_bfs(
-        problem,
-        lambda s, delta: table.register(s, delta),
-        _goal_test(problem, goal_test),
-        problem.init if start is None else start,
-        max_nodes,
-    )
+    return _pruned_bfs(problem, NoveltyTable(tuples).register, max_nodes)
 
 
 def iw_k(
@@ -224,18 +202,8 @@ def iw_k(
     k=0 degenerates to checking the start state and its direct successors:
     tracking just the empty tuple expands the root once and prunes all else.
     """
-    if k == 0:
-        tuples = TupleSet.from_iterable([()])
-        result = iw_t(problem, tuples, goal_test, start=start, max_nodes=max_nodes)
-    else:
-        table = NoveltyTable(all_tuples_up_to(problem, k))
-        result = _pruned_bfs(
-            problem,
-            lambda s, delta: table.register(s, delta),
-            _goal_test(problem, goal_test),
-            problem.init if start is None else start,
-            max_nodes,
-        )
+    tracked = TupleSet.from_iterable([()]) if k == 0 else all_tuples_up_to(problem, k)
+    result = _pruned_bfs(problem, NoveltyTable(tracked).register, max_nodes, goal_test, start)
     result.k = k
     return result
 
@@ -248,12 +216,17 @@ def iw(
     max_k: int | None = None,
     max_nodes: int | None = None,
 ) -> SearchResult:
-    """Run iw_k for k = 0, 1, ... until a plan is found.
+    """Run iw_k for k = 0, 1, ..., max_k (default: the atom count) until a
+    plan is found.
 
     Stops early when a failed iteration pruned nothing but duplicate states:
     larger k would expand and prune exactly the same sets, so no plan exists.
+    `max_nodes` is a budget: the first iteration that hits it ends the run
+    with FAILURE instead of moving on to a larger k.
     """
     top = problem.n_atoms if max_k is None else max_k
+    if not 0 <= top <= problem.n_atoms:
+        raise ValueError(f"max_k={top} out of range 0..{problem.n_atoms}")
     iterations: list[SearchStats] = []
     for k in range(top + 1):
         result = iw_k(problem, k, goal_test, start=start, max_nodes=max_nodes)
@@ -261,27 +234,23 @@ def iw(
         if result.solved:
             result.iterations = iterations
             return result
-        if result.reason == "queue exhausted" and result.stats.pruned == result.stats.pruned_duplicate:
+        if result.reason != "queue exhausted":  # the node limit
+            result.reason = f"{result.reason} at k={k}"
+            result.iterations = iterations
+            return result
+        if result.stats.pruned == result.stats.pruned_duplicate:
             return SearchResult(
                 Outcome.NO_PLAN, None, result.stats, k=k,
                 reason=f"complete at k={k}: only duplicate states pruned",
                 iterations=iterations,
             )
-    stats = iterations[-1] if iterations else SearchStats()
     return SearchResult(
-        Outcome.NO_PLAN, None, stats, k=top, reason=f"no plan up to k={top}",
+        Outcome.NO_PLAN, None, iterations[-1], k=top, reason=f"no plan up to k={top}",
         iterations=iterations,
     )
 
 
-def iw_phi(
-    problem: GroundProblem,
-    phi,
-    goal_test: GoalTest | None = None,
-    *,
-    start: State | None = None,
-    max_nodes: int | None = None,
-) -> SearchResult:
+def iw_phi(problem: GroundProblem, phi, *, max_nodes: int | None = None) -> SearchResult:
     """Breadth-first search pruning states whose feature valuation was seen.
 
     `phi` is a FeatureSet (or any object with `valuation(problem, state)`).
@@ -295,10 +264,4 @@ def iw_phi(
         seen.add(v)
         return True
 
-    return _pruned_bfs(
-        problem,
-        accept,
-        _goal_test(problem, goal_test),
-        problem.init if start is None else start,
-        max_nodes,
-    )
+    return _pruned_bfs(problem, accept, max_nodes)

@@ -19,6 +19,10 @@ class SiwError(ValueError):
     pass
 
 
+STEP_CAP = 1_000_000  # run_policy stops with status "cap" after this many steps
+POLICY_CLOSURE_CAP = 100_000  # policy_reachable raises past this many states
+
+
 def bind(sketch: Sketch, phi: FeatureSet) -> FeatureSet:
     """Features of `phi` reordered to the sketch's declaration order."""
     return phi.select(sketch.names_kinds)
@@ -62,7 +66,6 @@ def siw_r(
     *,
     k_max: int,
     max_nodes: int | None = None,
-    max_segments: int | None = None,
 ) -> SerializedResult:
     """Solve by chaining subgoal segments, each found by IW with k <= k_max.
 
@@ -71,9 +74,8 @@ def siw_r(
     cap (`reason` starts with "cycle").
     """
     bound = bind(sketch, phi)
-    if max_segments is None:
-        # generous default: cyclic rule sets are caught by the revisit check
-        max_segments = max(problem.n_atoms, 2) ** (len(sketch.numeric_indices()) + 1)
+    # generous: cyclic rule sets are caught by the revisit check
+    max_segments = max(problem.n_atoms, 2) ** (len(sketch.numeric_indices()) + 1)
 
     totals = SearchStats()
     segments: list[Segment] = []
@@ -133,13 +135,7 @@ class PolicyRun:
         return self.status == "goal"
 
 
-def run_policy(
-    problem: GroundProblem,
-    sketch: Sketch,
-    phi: FeatureSet,
-    *,
-    step_cap: int = 1_000_000,
-) -> PolicyRun:
+def run_policy(problem: GroundProblem, sketch: Sketch, phi: FeatureSet) -> PolicyRun:
     """Follow the rule relation greedily from the initial state, taking the
     first compatible successor in canonical action order at each step."""
     bound = bind(sketch, phi)
@@ -149,7 +145,7 @@ def run_policy(
     visited = {s}
 
     while not is_goal(problem, s):
-        if len(actions) >= step_cap:
+        if len(actions) >= STEP_CAP:
             return PolicyRun("cap", states, actions)
         values = bound.valuation(problem, s)
         chosen = None
@@ -170,13 +166,7 @@ def run_policy(
     return PolicyRun("goal", states, actions)
 
 
-def policy_reachable(
-    problem: GroundProblem,
-    sketch: Sketch,
-    phi: FeatureSet,
-    *,
-    cap: int = 100_000,
-) -> set[State]:
+def policy_reachable(problem: GroundProblem, sketch: Sketch, phi: FeatureSet) -> set[State]:
     """Closure of the initial state under all policy transitions
     (transitions leaving non-goal states that satisfy some rule)."""
     bound = bind(sketch, phi)
@@ -194,6 +184,6 @@ def policy_reachable(
             if relation(sketch, values, bound.valuation(problem, succ)):
                 seen.add(succ)
                 frontier.append(succ)
-                if len(seen) > cap:
-                    raise SiwError(f"policy closure exceeds {cap} states")
+                if len(seen) > POLICY_CLOSURE_CAP:
+                    raise SiwError(f"policy closure exceeds {POLICY_CLOSURE_CAP} states")
     return seen

@@ -109,10 +109,13 @@ class PolicyGraph:
         return self.sketch.rules[self.edges[edge_idx][2]].effects
 
 
-def build_policy_graph(sketch: Sketch, max_features: int = 16) -> PolicyGraph:
+MAX_POLICY_FEATURES = 16  # the graph has 2**n vertices over n sketch features
+
+
+def build_policy_graph(sketch: Sketch) -> PolicyGraph:
     n = len(sketch.features)
-    if n > max_features:
-        raise SketchError(f"{n} features exceed the policy-graph cap {max_features}")
+    if n > MAX_POLICY_FEATURES:
+        raise SketchError(f"{n} features exceed the policy-graph cap {MAX_POLICY_FEATURES}")
     kinds = [f.kind for f in sketch.features]
     edges: list[tuple[int, int, int]] = []
     for ridx, rule in enumerate(sketch.rules):

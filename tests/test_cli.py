@@ -93,6 +93,19 @@ def test_solve_failure_exit_one(gen_dir, capsys):
     assert _solve(gen_dir, "delivery", "--alg", "iwk", "--k", "1") == 1
 
 
+def test_solve_iw_k_bounds_the_iterations(gen_dir, capsys):
+    # the delivery instance needs k = 3: a lower --k fails, one above the
+    # atom count is an input error
+    assert _solve(gen_dir, "delivery", "--alg", "iw", "--k", "2", "--json") == 1
+    stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert stats["k"] == 2 and stats["verdict"] == "no plan up to k=2"
+    assert _solve(gen_dir, "delivery", "--alg", "iw", "--k", "3", "--json") == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["k"] == 3
+    for k in ("-1", "100000"):
+        assert _solve(gen_dir, "delivery", "--alg", "iw", "--k", k) == 2
+        assert "max_k" in capsys.readouterr().err
+
+
 def test_sieve_reject_exit_one(gen_dir, capsys):
     d = gen_dir["delivery"]
     code = main(["sieve", "--sketch", str(d / "r3.sketch"), "--features", str(d / "features.feat")])

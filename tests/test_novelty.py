@@ -24,9 +24,10 @@ def test_universe_counts():
 
 
 def all_tuples_up_to_n(n, k):
+    """The universe over n atoms, every one of them fluent."""
     from widthplan.novelty import TupleUniverse
 
-    return TupleUniverse(n, k)
+    return TupleUniverse(n, k, (1 << n) - 1)
 
 
 def test_register_first_seen():
@@ -37,7 +38,7 @@ def test_register_first_seen():
 
 
 def test_register_explicit_untracked_tuple():
-    table = NoveltyTable.for_tuples(TupleSet.from_iterable([(3,)]))
+    table = NoveltyTable(TupleSet.from_iterable([(3,)]))
     assert table.register(state_from_atoms([0, 1])) is False
     assert table.register(state_from_atoms([3])) is True
 
@@ -47,7 +48,7 @@ def test_register_trajectory_marks_in_order(qclear2):
 
     g, bundle = qclear2
     tuples = parse_tuple_set(bundle.tuple_sets["walk"], g)
-    table = NoveltyTable.for_tuples(tuples)
+    table = NoveltyTable(tuples)
     states = replay(g, bfs_optimal(g).plan)
     assert [table.register(s) for s in states] == [True] * 4
 
@@ -99,7 +100,7 @@ def test_true_returns_bounded_by_tuple_count():
 
 def test_explicit_true_returns_bounded():
     tuples = TupleSet.from_iterable([(0,), (1, 2), (3,)])
-    table = NoveltyTable.for_tuples(tuples)
+    table = NoveltyTable(tuples)
     hits = sum(
         table.register(state_from_atoms(bits))
         for bits in ([0], [0, 1], [1, 2], [3], [0, 1, 2, 3])

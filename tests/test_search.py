@@ -137,6 +137,22 @@ def test_iw_unsolvable_early_stop():
     assert r.k < g.n_atoms
 
 
+def test_iw_stops_at_first_iteration_over_node_limit():
+    # the budget ends the run at the IW(k) that overran it, not at k = n_atoms
+    g = ground_bundle(domains.hanoi(4))
+    r = iw(g, max_nodes=50)
+    assert r.outcome is Outcome.FAILURE and r.k == 2
+    assert r.reason == "node limit 50 exceeded at k=2"
+    assert len(r.iterations) == 3 and r.iterations[-1] is r.stats
+
+
+def test_iw_rejects_max_k_out_of_range(qclear2):
+    g, _ = qclear2
+    for max_k in (-1, g.n_atoms + 1):
+        with pytest.raises(ValueError, match="max_k"):
+            iw(g, max_k=max_k)
+
+
 def test_iw_plan_valid_but_possibly_suboptimal():
     g = ground_bundle(domains.delivery(3, 1, [2], target=3, start=1))
     r = iw(g)

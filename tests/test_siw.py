@@ -234,3 +234,24 @@ def test_concurrent_siwr_share_one_problem_and_features():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * 4
+
+
+def test_siwr_runs_share_compiled_kernels(delivery_small, monkeypatch):
+    # each siw_r selects the sketch's features anew; the selections reuse the
+    # kernels the first run compiled for the problem
+    from widthplan import features
+
+    g, bundle = delivery_small
+    sketch, phi = bundle_sketch(bundle, "r5"), bundle_features(bundle)
+    compiled = []
+    original = features.compile_feature
+
+    def counting(feature, problem):
+        compiled.append(feature.name)
+        return original(feature, problem)
+
+    monkeypatch.setattr(features, "compile_feature", counting)
+    first = siw_r(g, sketch, phi, k_max=1)
+    second = siw_r(g, sketch, phi, k_max=1)
+    assert first.plan == second.plan
+    assert sorted(compiled) == sorted(name for name, _ in sketch.names_kinds)
