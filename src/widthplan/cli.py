@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import domains, oracle
@@ -139,14 +140,16 @@ def _cmd_solve(args) -> int:
     else:  # policy
         sketch = _load_sketch(args)
         phi = _load_features(args)
+        t0 = time.perf_counter()
         run = run_policy(problem, sketch, phi)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
         for aid in run.actions:
             print(problem.actions[aid])
         verdict = "goal" if run.reached_goal else run.status
         stats = {
             "algorithm": "policy", "k": None, "expanded": len(run.actions),
             "generated": len(run.actions), "plan_length": len(run.actions),
-            "segments": None, "wall_ms": 0.0, "verdict": verdict,
+            "segments": None, "wall_ms": round(wall_ms, 3), "verdict": verdict,
         }
         _emit_stats(stats, args.json)
         return 0 if run.reached_goal else 1

@@ -128,6 +128,8 @@ class NoveltyTable:
         return novel
 
     def _register_universe(self, s: State, delta: State | None) -> bool:
+        if not self._k:  # the universe of k = 0 holds no tuple
+            return False
         novel = False
         if self._static is not None:
             novel = bool(s & self._static)

@@ -1,8 +1,11 @@
-"""Breadth-first search engines with exact expansion/generation accounting.
+"""Breadth-first search with exact expansion/generation accounting.
 
-All engines dequeue FIFO, test the goal on the dequeued state before any
-pruning decision, and generate successors in ascending action-id order, so
-node counts are reproducible.
+One engine serves IW(k), IW(T), IW(Phi) and plain BFS.  It dequeues FIFO,
+tests the goal on the dequeued state before any pruning decision, generates
+successors in ascending action-id order and drops a successor already
+generated, so node counts are reproducible.  `generated` counts the root and
+every successor, duplicates included; `pruned` counts the dequeued states
+the pruning test rejected.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import partial
 from typing import Callable
 
 from .novelty import NoveltyTable, TupleSet, all_tuples_up_to
-from .strips import GroundProblem, State, applicable_actions, is_goal
+from .strips import GroundProblem, State, is_goal, successors
 
 GoalTest = Callable[[State], bool]
 
@@ -30,21 +33,17 @@ class Outcome(Enum):
 class SearchStats:
     expanded: int = 0
     generated: int = 0
-    max_queue: int = 0
     pruned: int = 0
-    pruned_duplicate: int = 0
     wall_ms: float = 0.0
 
 
 def sum_stats(parts) -> SearchStats:
-    """Counts and times added up over `parts`; `max_queue` is their maximum."""
+    """Counts and times added up over `parts`."""
     total = SearchStats()
     for st in parts:
         total.expanded += st.expanded
         total.generated += st.generated
-        total.max_queue = max(total.max_queue, st.max_queue)
         total.pruned += st.pruned
-        total.pruned_duplicate += st.pruned_duplicate
         total.wall_ms += st.wall_ms
     return total
 
@@ -68,117 +67,72 @@ class SearchResult:
         return self.outcome is Outcome.SOLVED
 
 
-class _Node:
-    __slots__ = ("state", "parent", "action", "delta")
-
-    def __init__(self, state, parent, action, delta):
-        self.state = state
-        self.parent = parent
-        self.action = action
-        self.delta = delta
-
-
-def _extract_plan(node: _Node) -> list[int]:
-    plan = []
-    while node.parent is not None:
-        plan.append(node.action)
-        node = node.parent
-    plan.reverse()
-    return plan
-
-
-def _pruned_bfs(
+def _bfs(
     problem: GroundProblem,
-    accept: Callable[[State, State | None], bool],
+    accept: Callable[[State, State], bool] | None,
     max_nodes: int | None,
     goal_test: GoalTest | None = None,
     start: State | None = None,
 ) -> SearchResult:
-    """Shared engine: expand a dequeued non-goal node iff `accept` says so.
-    The search starts from `start` (default: the initial state) and stops at
-    the first state `goal_test` accepts (default: the problem's goal)."""
+    """The one search engine.  It runs from `start` (default: the initial
+    state) to the first state `goal_test` accepts (default: the problem's
+    goal), and drops every successor already generated.
+
+    A dequeued non-goal state is expanded iff `accept(state, flipped)` says
+    so, where `flipped` holds the atoms that differ from its parent (for the
+    root, the root itself).  Dropping a duplicate changes no expansion and
+    no plan: its first copy was dequeued earlier and marked as seen all that
+    the duplicate could make new, so `accept` would reject it.  With no
+    `accept` every state is expanded, which is plain BFS, and an exhausted
+    queue means that no plan exists.
+    """
     t0 = time.perf_counter()
     if goal_test is None:
         goal_test = partial(is_goal, problem)
-    stats = SearchStats()
+    stats = SearchStats(generated=1)
     root = problem.init if start is None else start
-    queue: deque[_Node] = deque([_Node(root, None, None, None)])
-    stats.generated = 1
-    stats.max_queue = 1
-    dequeued: set[State] = set()
-
-    while queue:
-        node = queue.popleft()
-        s = node.state
-        if goal_test(s):
-            stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-            return SearchResult(Outcome.SOLVED, _extract_plan(node), stats, goal_state=s)
-        if not accept(s, node.delta):
-            stats.pruned += 1
-            if s in dequeued:
-                stats.pruned_duplicate += 1
-            dequeued.add(s)
-            continue
-        dequeued.add(s)
-        stats.expanded += 1
-        for aid in applicable_actions(problem, s):
-            act = problem.actions[aid]
-            succ = (s & ~act.delete) | act.add
-            queue.append(_Node(succ, node, aid, s ^ succ))
-            stats.generated += 1
-        if len(queue) > stats.max_queue:
-            stats.max_queue = len(queue)
-        if max_nodes is not None and stats.generated > max_nodes:
-            stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-            return SearchResult(
-                Outcome.FAILURE, None, stats, reason=f"node limit {max_nodes} exceeded"
-            )
-
-    stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-    return SearchResult(Outcome.FAILURE, None, stats, reason="queue exhausted")
-
-
-def bfs_optimal(problem: GroundProblem, *, max_nodes: int | None = None) -> SearchResult:
-    """Plain breadth-first search with duplicate elimination; optimal plans."""
-    t0 = time.perf_counter()
-    root = problem.init
-    stats = SearchStats()
-    queue: deque[State] = deque([root])
     parent: dict[State, tuple[State, int] | None] = {root: None}
-    stats.generated = 1
-    stats.max_queue = 1
+    queue: deque[State] = deque([root])
+
+    def done(outcome: Outcome, reason: str | None = None, goal: State | None = None):
+        stats.wall_ms = (time.perf_counter() - t0) * 1000.0
+        plan = None
+        if goal is not None:
+            plan = []
+            link = parent[goal]
+            while link is not None:
+                plan.append(link[1])
+                link = parent[link[0]]
+            plan.reverse()
+        return SearchResult(outcome, plan, stats, reason=reason, goal_state=goal)
 
     while queue:
         s = queue.popleft()
-        if is_goal(problem, s):
-            plan = []
-            cur = s
-            while parent[cur] is not None:
-                prev, aid = parent[cur]
-                plan.append(aid)
-                cur = prev
-            plan.reverse()
-            stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-            return SearchResult(Outcome.SOLVED, plan, stats, goal_state=s)
-        stats.expanded += 1
-        for aid in applicable_actions(problem, s):
-            act = problem.actions[aid]
-            succ = (s & ~act.delete) | act.add
-            if succ in parent:
+        if goal_test(s):
+            return done(Outcome.SOLVED, goal=s)
+        if accept is not None:
+            link = parent[s]
+            if not accept(s, s if link is None else s ^ link[0]):
+                stats.pruned += 1
                 continue
-            parent[succ] = (s, aid)
-            queue.append(succ)
-            stats.generated += 1
-        if len(queue) > stats.max_queue:
-            stats.max_queue = len(queue)
+        stats.expanded += 1
+        succs = successors(problem, s)
+        stats.generated += len(succs)
+        for aid, succ in succs:
+            if succ not in parent:
+                parent[succ] = (s, aid)
+                queue.append(succ)
         if max_nodes is not None and stats.generated > max_nodes:
-            stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-            return SearchResult(
-                Outcome.FAILURE, None, stats, reason=f"node limit {max_nodes} exceeded"
-            )
+            return done(Outcome.FAILURE, f"node limit {max_nodes} exceeded")
 
-    stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-    return SearchResult(Outcome.NO_PLAN, None, stats, reason="state space exhausted")
+    if accept is None:
+        return done(Outcome.NO_PLAN, "state space exhausted")
+    return done(Outcome.FAILURE, "queue exhausted")
+
+
+def bfs_optimal(problem: GroundProblem, *, max_nodes: int | None = None) -> SearchResult:
+    """Plain breadth-first search: the engine with nothing pruned; optimal plans."""
+    return _bfs(problem, None, max_nodes)
 
 
 def iw_t(
@@ -186,7 +140,7 @@ def iw_t(
 ) -> SearchResult:
     """Breadth-first search pruning states that make no tracked tuple true
     for the first time; FAILURE means the tuple set is not admissible."""
-    return _pruned_bfs(problem, NoveltyTable(tuples).register, max_nodes)
+    return _bfs(problem, NoveltyTable(tuples).register, max_nodes)
 
 
 def iw_k(
@@ -203,7 +157,7 @@ def iw_k(
     tracking just the empty tuple expands the root once and prunes all else.
     """
     tracked = TupleSet.from_iterable([()]) if k == 0 else all_tuples_up_to(problem, k)
-    result = _pruned_bfs(problem, NoveltyTable(tracked).register, max_nodes, goal_test, start)
+    result = _bfs(problem, NoveltyTable(tracked).register, max_nodes, goal_test, start)
     result.k = k
     return result
 
@@ -219,8 +173,9 @@ def iw(
     """Run iw_k for k = 0, 1, ..., max_k (default: the atom count) until a
     plan is found.
 
-    Stops early when a failed iteration pruned nothing but duplicate states:
-    larger k would expand and prune exactly the same sets, so no plan exists.
+    Stops early when a failed iteration pruned no state (duplicates are
+    dropped when generated): it searched the whole reachable space, so no
+    plan exists.
     `max_nodes` is a budget: the first iteration that hits it ends the run
     with FAILURE instead of moving on to a larger k.
     """
@@ -238,7 +193,7 @@ def iw(
             result.reason = f"{result.reason} at k={k}"
             result.iterations = iterations
             return result
-        if result.stats.pruned == result.stats.pruned_duplicate:
+        if result.stats.pruned == 0:
             return SearchResult(
                 Outcome.NO_PLAN, None, result.stats, k=k,
                 reason=f"complete at k={k}: only duplicate states pruned",
@@ -264,4 +219,4 @@ def iw_phi(problem: GroundProblem, phi, *, max_nodes: int | None = None) -> Sear
         seen.add(v)
         return True
 
-    return _pruned_bfs(problem, accept, max_nodes)
+    return _bfs(problem, accept, max_nodes)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .features import FeatureSet
 from .search import Outcome, SearchStats, iw, sum_stats
 from .sketches import Sketch, relation
-from .strips import GroundProblem, State, applicable_actions, apply, is_goal
+from .strips import GroundProblem, State, is_goal, successors
 
 
 class SiwError(ValueError):
@@ -149,8 +149,7 @@ def run_policy(problem: GroundProblem, sketch: Sketch, phi: FeatureSet) -> Polic
             return PolicyRun("cap", states, actions)
         values = bound.valuation(problem, s)
         chosen = None
-        for aid in applicable_actions(problem, s):
-            succ = apply(problem, s, aid)
+        for aid, succ in successors(problem, s):
             if relation(sketch, values, bound.valuation(problem, succ)):
                 chosen = (aid, succ)
                 break
@@ -177,8 +176,7 @@ def policy_reachable(problem: GroundProblem, sketch: Sketch, phi: FeatureSet) ->
         if is_goal(problem, s):
             continue
         values = bound.valuation(problem, s)
-        for aid in applicable_actions(problem, s):
-            succ = apply(problem, s, aid)
+        for _, succ in successors(problem, s):
             if succ in seen:
                 continue
             if relation(sketch, values, bound.valuation(problem, succ)):

@@ -65,8 +65,8 @@ class GroundProblem:
     goal_pos: State
     goal_neg: State
     objects: tuple[str, ...] = ()
-    atom_index: dict[tuple[str, tuple[str, ...]], int] = field(default_factory=dict)
-    atoms_by_predicate: dict[str, list[int]] = field(default_factory=dict)
+    atom_index: dict[tuple[str, tuple[str, ...]], int] = field(init=False)
+    atoms_by_predicate: dict[str, list[int]] = field(init=False)
     # atoms some action adds or deletes; every other atom keeps its initial
     # truth value along every transition
     fluent_mask: State = field(default=0, init=False, repr=False, compare=False)
@@ -74,13 +74,10 @@ class GroundProblem:
     _watch_always: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.atom_index:
-            self.atom_index = {(a.predicate, a.args): a.atom_id for a in self.atoms}
-        if not self.atoms_by_predicate:
-            by_pred: dict[str, list[int]] = {}
-            for a in self.atoms:
-                by_pred.setdefault(a.predicate, []).append(a.atom_id)
-            self.atoms_by_predicate = by_pred
+        self.atom_index = {(a.predicate, a.args): a.atom_id for a in self.atoms}
+        self.atoms_by_predicate = {}
+        for a in self.atoms:
+            self.atoms_by_predicate.setdefault(a.predicate, []).append(a.atom_id)
         fluent = 0
         for act in self.actions:
             fluent |= act.add | act.delete
@@ -135,6 +132,17 @@ def applicable_actions(problem: GroundProblem, s: State) -> list[int]:
             if pre & s == pre:
                 out.append(aid)
     out.sort()
+    return out
+
+
+def successors(problem: GroundProblem, s: State) -> list[tuple[int, State]]:
+    """(action id, successor state) pairs of the actions applicable in `s`,
+    in ascending action-id order."""
+    actions = problem.actions
+    out = []
+    for aid in applicable_actions(problem, s):
+        act = actions[aid]
+        out.append((aid, (s & ~act.delete) | act.add))
     return out
 
 

@@ -89,6 +89,17 @@ def test_solve_policy_alg(gen_dir, capsys):
     assert "verdict=goal" in capsys.readouterr().out
 
 
+def test_solve_policy_reports_its_time(gen_dir, capsys):
+    d = gen_dir["delivery"]
+    code = _solve(
+        gen_dir, "delivery", "--alg", "policy",
+        "--sketch", str(d / "policy.sketch"), "--features", str(d / "features.feat"), "--json",
+    )
+    assert code == 0
+    stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert stats["verdict"] == "goal" and stats["wall_ms"] > 0
+
+
 def test_solve_failure_exit_one(gen_dir, capsys):
     assert _solve(gen_dir, "delivery", "--alg", "iwk", "--k", "1") == 1
 

@@ -86,6 +86,17 @@ def test_delta_agrees_with_full_check(k):
                 frontier.append(succ)
 
 
+def test_k0_universe_tracks_no_tuple():
+    g = ground_bundle(domains.grid(3, 1, 1, 3))
+    universe = all_tuples_up_to(g, 0)
+    table = NoveltyTable(universe)
+    assert len(universe) == 0
+    assert table.register(g.init) is False
+    for aid in applicable_actions(g, g.init):
+        succ = apply(g, g.init, aid)
+        assert table.register(succ, g.init ^ succ) is False
+
+
 def test_true_returns_bounded_by_tuple_count():
     rng = random.Random(3)
     n, k = 10, 2

@@ -3,6 +3,7 @@
 import sys
 import threading
 import tracemalloc
+import zlib
 from math import comb
 
 import pytest
@@ -21,6 +22,7 @@ from widthplan import (
     parse_problem,
     replay,
 )
+from widthplan import search as search_module
 from widthplan.features import parse_features
 from widthplan.novelty import TupleSet, parse_tuple_set
 from tests.conftest import ground_bundle
@@ -203,12 +205,80 @@ def test_expansion_counts_montone_without_duplicates():
         domains.blocks_clear(2),
         domains.delivery(2, 2, [2], target=4, start=1),
     ]
+    counts = []
     for bundle in instances:
         g = ground_bundle(bundle)
-        runs = [iw_k(g, k) for k in (1, 2, 3)]
-        for a, b in zip(runs, runs[1:]):
-            if a.stats.pruned_duplicate == 0 and b.stats.pruned_duplicate == 0:
-                assert a.stats.expanded <= b.stats.expanded
+        expanded = [iw_k(g, k).stats.expanded for k in (1, 2, 3)]
+        assert expanded == sorted(expanded)
+        counts.append(expanded)
+    assert counts == [[3, 3, 3], [3, 3, 3], [5, 9, 9]]
+
+
+@pytest.mark.parametrize("search", [
+    lambda g, bundle: iw_k(g, 2),
+    lambda g, bundle: iw_t(g, parse_tuple_set(bundle.tuple_sets["walk"], g)),
+    lambda g, bundle: iw_phi(g, parse_features(bundle.features_text)),
+    lambda g, bundle: bfs_optimal(g),
+], ids=["iw_k", "iw_t", "iw_phi", "bfs_optimal"])
+def test_goal_test_never_sees_a_state_twice(search, monkeypatch):
+    # a successor already generated is dropped, so no state is dequeued twice
+    bundle = domains.blocks_clear(3)
+    g = ground_bundle(bundle)
+    seen = []
+
+    def recording_goal(problem, s):
+        seen.append(s)
+        return is_goal(problem, s)
+
+    monkeypatch.setattr(search_module, "is_goal", recording_goal)
+    assert search(g, bundle).solved
+    assert len(seen) == len(set(seen)) > 1
+
+
+def test_bfs_generated_counts_every_successor():
+    # duplicates count as generated, as in the novelty searches
+    r = bfs_optimal(ground_bundle(domains.hanoi(5)))
+    assert (r.stats.expanded, r.stats.generated, len(r.plan)) == (448, 1342, 31)
+
+
+def test_pruned_counts_no_duplicates():
+    r = iw_k(ground_bundle(domains.blocks_on(5, 5)), 2)
+    assert (r.stats.expanded, r.stats.generated, r.stats.pruned) == (7228, 51100, 28858)
+
+
+# crc32 of (expanded, generated, plan) for IW(0..3), of the same plus k and
+# per-iteration counts for `iw`, then IW(T) on each bundled tuple set and
+# IW(Phi) on the bundled features; recorded before the search loops merged
+PARITY_PINS = [
+    ("clear-2", lambda: domains.blocks_clear(2), 1338439415),
+    ("clear-2-held", lambda: domains.blocks_clear(2, holding="y"), 628358336),
+    ("on-1-1", lambda: domains.blocks_on(1, 1), 3591619612),
+    ("on-2-1", lambda: domains.blocks_on(2, 1), 4234243960),
+    ("blocks", lambda: domains.blocks([["a", "b"], ["c"]], ("on", "c", "a")), 834137904),
+    ("grid", lambda: domains.grid(4, 3, 1, 12), 3997513271),
+    ("grid2", lambda: domains.grid2(3, 2, (1, 1), (3, 2)), 1559533285),
+    ("delivery", lambda: domains.delivery(3, 3, [3], target=1, start=5), 3899745840),
+    ("marbles", lambda: domains.marbles([2, 1]), 1126143943),
+    ("hanoi", lambda: domains.hanoi(3), 140803059),
+]
+
+
+@pytest.mark.parametrize("make, crc", [p[1:] for p in PARITY_PINS], ids=[p[0] for p in PARITY_PINS])
+def test_search_counts_parity_pinned(make, crc):
+    bundle = make()
+    g = ground_bundle(bundle)
+
+    def counts(r):
+        return (r.stats.expanded, r.stats.generated, r.plan)
+
+    rows = [counts(iw_k(g, k)) for k in range(4)]
+    r = iw(g)
+    rows.append(counts(r) + (r.k, [(it.expanded, it.generated) for it in r.iterations]))
+    for name in sorted(bundle.tuple_sets):
+        rows.append(counts(iw_t(g, parse_tuple_set(bundle.tuple_sets[name], g))))
+    if bundle.features_text:
+        rows.append(counts(iw_phi(g, parse_features(bundle.features_text))))
+    assert zlib.crc32(repr(rows).encode()) == crc
 
 
 def test_iwk_dequeues_within_bfs_horizon():

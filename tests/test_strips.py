@@ -17,6 +17,7 @@ from widthplan import (
     replay,
     state_from_atoms,
 )
+from widthplan.strips import successors
 from tests.conftest import ground_bundle
 
 
@@ -113,6 +114,7 @@ def test_apply_deterministic_and_atom_conserving():
     frontier, seen = [g.init], {g.init}
     while frontier:
         s = frontier.pop()
+        assert successors(g, s) == [(aid, apply(g, s, aid)) for aid in applicable_actions(g, s)]
         for aid in applicable_actions(g, s):
             succ = apply(g, s, aid)
             assert succ == apply(g, s, aid)
