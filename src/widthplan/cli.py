@@ -147,8 +147,8 @@ def _cmd_solve(args) -> int:
             print(problem.actions[aid])
         verdict = "goal" if run.reached_goal else run.status
         stats = {
-            "algorithm": "policy", "k": None, "expanded": len(run.actions),
-            "generated": len(run.actions), "plan_length": len(run.actions),
+            "algorithm": "policy", "k": None, "expanded": run.expanded,
+            "generated": run.generated, "plan_length": len(run.actions),
             "segments": None, "wall_ms": round(wall_ms, 3), "verdict": verdict,
         }
         _emit_stats(stats, args.json)
@@ -223,8 +223,11 @@ def _cmd_oracle(args) -> int:
         if width is None:
             print(f"verdict=unbounded k_cap={args.k_cap}")
             return 1
-        certified = width == 0 or oracle.lower_bound_witness(space, width - 1)
-        print(f"width={width} certified={'yes' if certified else 'no'}")
+        certified = "unchecked"
+        if width - 1 <= oracle.LOWER_BOUND_MAX_K:
+            exceeds = width == 0 or oracle.lower_bound_witness(space, width - 1)
+            certified = "yes" if exceeds else "no"
+        print(f"width={width} certified={certified}")
         return 0
 
     if check == "lower-bound":

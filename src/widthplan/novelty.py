@@ -47,7 +47,7 @@ class TupleUniverse:
     """All tuples of 1..k atoms over an n-atom problem, never materialized.
 
     `fluent` is the mask of atoms that can change truth value; a novelty
-    table over the universe tracks tuples of fluent atoms only.
+    table over the universe keeps tuples of two or more fluent atoms only.
     """
 
     n_atoms: int
@@ -77,12 +77,14 @@ class NoveltyTable:
     the check to tuples containing a flipped atom; this is only sound when
     the parent state was itself registered earlier.
 
-    Over a universe, only tuples of fluent atoms are kept.  The states one
-    search registers all share their non-fluent atoms, so a tuple holding a
-    true non-fluent atom is new exactly when its fluent part is, except in
-    the first registered state, which is also novel when it holds any
-    non-fluent atom.  The verdicts are those of the full
-    universe.
+    Over a universe, one rule serves every tuple size: a tuple T of fluent
+    atoms has been seen iff, for some atom a in T, the mask kept under
+    T - {a} holds a.  Only a state that makes some tuple new can add a bit,
+    and it ORs its fluent atoms into the mask of each of its fluent subsets;
+    size 1 is one mask over every atom.  The states one search registers
+    share their non-fluent atoms, so a tuple holding one is new exactly when
+    its fluent part is, and the size-1 mask makes the first state novel when
+    that part is empty.  The verdicts are those of the full universe.
     """
 
     def __init__(self, tracked: TupleSet | TupleUniverse):
@@ -93,21 +95,11 @@ class NoveltyTable:
         else:
             self._k = tracked.k
             self._fluent = tracked.fluent
-            fluent_atoms = atoms_of(tracked.fluent)
-            n = len(fluent_atoms)
-            # None once a first state is registered
-            self._static = ((1 << tracked.n_atoms) - 1) & ~tracked.fluent
-            # dense ranks of the fluent atoms, monotone in atom id; None when
-            # every atom is fluent and ranks are atom ids
-            self._rank: list[int] | None = None
-            if n < tracked.n_atoms:
-                self._rank = [0] * tracked.n_atoms
-                for r, aid in enumerate(fluent_atoms):
-                    self._rank[aid] = r
-            self._n = n
             self._seen1 = 0
-            self._seen2 = bytearray(n * n) if tracked.k >= 2 else None
-            self._seen_hi: set[tuple[int, ...]] = set()
+            # size 2: per atom id, the fluent atoms seen together with it
+            self._pair = [0] * tracked.n_atoms if tracked.k >= 2 else None
+            # sizes 3..k: the same per sorted tuple of 2..k-1 fluent atom ids
+            self._with: dict[tuple[int, ...], int] = {}
 
     def register(self, s: State, delta: State | None = None) -> bool:
         if isinstance(self.tracked, TupleSet):
@@ -128,51 +120,43 @@ class NoveltyTable:
         return novel
 
     def _register_universe(self, s: State, delta: State | None) -> bool:
-        if not self._k:  # the universe of k = 0 holds no tuple
+        k = self._k
+        if not k:  # the universe of k = 0 holds no tuple
             return False
-        novel = False
-        if self._static is not None:
-            novel = bool(s & self._static)
-            self._static = None
-        s &= self._fluent
         scope = s if delta is None else s & delta
-        # size 1
-        fresh = scope & ~self._seen1
-        if fresh:
-            novel = True
-            self._seen1 |= fresh
-        if self._k < 2:
-            return novel
-        # size 2, over fluent ranks
-        table = self._seen2
-        n = self._n
-        rank = self._rank
-        s_atoms = atoms_of(s)
-        scope_atoms = s_atoms if delta is None else atoms_of(scope)
-        if rank is not None:
-            s_atoms = [rank[a] for a in s_atoms]
-            scope_atoms = s_atoms if delta is None else [rank[a] for a in scope_atoms]
-        scope_set = set(scope_atoms)
-        for i in scope_atoms:
-            base = i * n
-            for j in s_atoms:
-                if j == i or (j in scope_set and j < i):
-                    continue
-                idx = base + j if i < j else j * n + i
-                if not table[idx]:
-                    table[idx] = 1
-                    novel = True
-        # sizes 3..k
-        for r in range(3, self._k + 1):
-            if len(s_atoms) < r:
-                break
-            for tup in combinations(s_atoms, r):
-                if delta is not None and not any(a in scope_set for a in tup):
-                    continue
-                if tup not in self._seen_hi:
-                    self._seen_hi.add(tup)
-                    novel = True
-        return novel
+        fs = s & self._fluent
+        if not scope & ~self._seen1 and (k < 2 or not self._fresh(fs, scope)):
+            return False
+        self._seen1 |= s
+        if k >= 2:
+            atoms = atoms_of(fs)
+            for a in atoms:
+                self._pair[a] |= fs
+            for r in range(2, k):
+                for sub in combinations(atoms, r):
+                    self._with[sub] = self._with.get(sub, 0) | fs
+        return True
+
+    def _fresh(self, fs: State, scope: State) -> bool:
+        """Whether a tuple of 2..k fluent atoms true in `fs` and holding an
+        atom of `scope` is unseen, every such smaller tuple being seen."""
+        flipped = atoms_of(fs & scope)
+        pair = self._pair
+        for a in flipped:
+            if fs & ~pair[a]:
+                return True
+        if self._k < 3:
+            return False
+        kept = atoms_of(fs & ~scope)
+        # T is seen iff T - {b} holds b for any b in T, so it suffices to
+        # look at the subsets that keep a flipped atom
+        for r in range(2, self._k):
+            for j in range(1, r + 1):
+                for part in combinations(flipped, j):
+                    for rest in combinations(kept, r - j):
+                        if fs & ~self._with.get(tuple(sorted(part + rest)), 0):
+                            return True
+        return False
 
 
 # ---------------------------------------------------------------------------

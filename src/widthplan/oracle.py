@@ -23,6 +23,7 @@ class OracleError(ValueError):
 
 
 DEFAULT_CAP = 200_000
+LOWER_BOUND_MAX_K = 2  # largest k `lower_bound_witness` supports
 
 
 @dataclass
@@ -299,8 +300,8 @@ def _opt_membership(space: StateSpace, k: int) -> bytearray:
     (`with_[a]`).  An atom is new in a layer iff it is not in `seen`; a pair
     {a, b} is new iff b is not in `with_[a]`.
     """
-    if k >= 3:
-        raise OracleError("width lower-bound check supports k <= 2")
+    if k > LOWER_BOUND_MAX_K:
+        raise OracleError(f"width lower-bound check supports k <= {LOWER_BOUND_MAX_K}")
     states, cost = space.states, space.cost
     n = len(states)
     member = bytearray(n)

@@ -129,6 +129,8 @@ class PolicyRun:
     status: str  # "goal" | "stuck" | "cyclic" | "cap"
     states: list[State]
     actions: list[int]
+    expanded: int = 0  # states whose successors were computed
+    generated: int = 0  # successors computed
 
     @property
     def reached_goal(self) -> bool:
@@ -143,26 +145,34 @@ def run_policy(problem: GroundProblem, sketch: Sketch, phi: FeatureSet) -> Polic
     states = [s]
     actions: list[int] = []
     visited = {s}
+    status = "goal"
+    expanded = generated = 0
 
     while not is_goal(problem, s):
         if len(actions) >= STEP_CAP:
-            return PolicyRun("cap", states, actions)
+            status = "cap"
+            break
         values = bound.valuation(problem, s)
+        succs = successors(problem, s)
+        expanded += 1
+        generated += len(succs)
         chosen = None
-        for aid, succ in successors(problem, s):
+        for aid, succ in succs:
             if relation(sketch, values, bound.valuation(problem, succ)):
                 chosen = (aid, succ)
                 break
         if chosen is None:
-            return PolicyRun("stuck", states, actions)
+            status = "stuck"
+            break
         aid, s = chosen
         actions.append(aid)
         states.append(s)
         if s in visited and not is_goal(problem, s):
-            return PolicyRun("cyclic", states, actions)
+            status = "cyclic"
+            break
         visited.add(s)
 
-    return PolicyRun("goal", states, actions)
+    return PolicyRun(status, states, actions, expanded, generated)
 
 
 def policy_reachable(problem: GroundProblem, sketch: Sketch, phi: FeatureSet) -> set[State]:

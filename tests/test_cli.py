@@ -100,6 +100,26 @@ def test_solve_policy_reports_its_time(gen_dir, capsys):
     assert stats["verdict"] == "goal" and stats["wall_ms"] > 0
 
 
+def test_solve_policy_counts_expansions_not_steps(gen_dir, capsys):
+    from widthplan import ground, parse_domain, parse_problem, replay
+    from widthplan.strips import successors
+
+    d = gen_dir["hanoi"]
+    code = _solve(
+        gen_dir, "hanoi", "--alg", "policy",
+        "--sketch", str(d / "policy.sketch"), "--features", str(d / "features.feat"), "--json",
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    stats = json.loads(lines[-1])
+    g = ground(parse_domain((d / "domain.pddl").read_text()),
+               parse_problem((d / "problem.pddl").read_text()))
+    by_name = {str(a): a.action_id for a in g.actions}
+    states = replay(g, [by_name[line] for line in lines[:-1]])
+    assert stats["plan_length"] == stats["expanded"] == 7
+    assert stats["generated"] == sum(len(successors(g, s)) for s in states[:-1])
+
+
 def test_solve_failure_exit_one(gen_dir, capsys):
     assert _solve(gen_dir, "delivery", "--alg", "iwk", "--k", "1") == 1
 
@@ -183,6 +203,17 @@ def test_oracle_width_outputs(gen_dir, tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(message)
+
+
+def test_oracle_width_above_lower_bound_range_is_unchecked(tmp_path, capsys):
+    # width 4 needs the lower bound at k = 3, beyond what it supports
+    params = ["width=2", "height=2", "packages=2,3,4", "target=1", "start=1"]
+    assert main(["gen", "--family", "delivery", "--params", *params, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    base = ["--domain", str(tmp_path / "domain.pddl"), "--problem", str(tmp_path / "problem.pddl")]
+    assert main(["oracle", "width", *base, "--k-cap", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "width=4 certified=unchecked\n" and captured.err == ""
 
 
 def test_oracle_sketch_checks(gen_dir, capsys):

@@ -1,9 +1,13 @@
 """Novelty tables: first-seen semantics, flipped-atom shortcut, counts."""
 
 import random
+from functools import cache
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthplan import applicable_actions, apply, domains, state_from_atoms
 from widthplan.novelty import (
@@ -14,6 +18,7 @@ from widthplan.novelty import (
     format_tuple_set,
     parse_tuple_set,
 )
+from widthplan.strips import atoms_of, successors
 from tests.conftest import ground_bundle
 
 
@@ -62,15 +67,72 @@ def test_idempotence_random_states():
         assert table.register(s) is False
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+_WALK_INSTANCES = {
+    "delivery": lambda: domains.delivery(2, 2, [2], target=4, start=1),
+    "grid2": lambda: domains.grid2(3, 2, (1, 1), (3, 2)),
+    "hanoi": lambda: domains.hanoi(3),
+    "marbles": lambda: domains.marbles([2, 1]),
+    "blocks": lambda: domains.blocks_on(1, 1),
+}
+
+
+@cache
+def _walk_problem(name):
+    return ground_bundle(_WALK_INSTANCES[name]())
+
+
+class _EveryTuple:
+    """The reference table: a plain set of every tuple of 1..k atoms seen,
+    static atoms included."""
+
+    def __init__(self, k):
+        self.k = k
+        self.seen = set()
+
+    def register(self, s):
+        atoms = atoms_of(s)
+        fresh = {t for r in range(1, self.k + 1) for t in combinations(atoms, r)} - self.seen
+        self.seen |= fresh
+        return bool(fresh)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_WALK_INSTANCES)),
+    k=st.integers(0, 4),
+    picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=40),
+)
+def test_universe_table_matches_every_tuple_set(name, k, picks):
+    # random transitions out of registered states, each registered with its
+    # flipped atoms by one table and without them by another
+    g = _walk_problem(name)
+    with_delta = NoveltyTable(all_tuples_up_to(g, k))
+    without = NoveltyTable(all_tuples_up_to(g, k))
+    reference = _EveryTuple(k)
+    assert with_delta.register(g.init, g.init) == without.register(g.init) == reference.register(g.init)
+    registered = [g.init]
+    for pick_state, pick_succ in picks:
+        parent = registered[pick_state % len(registered)]
+        succs = successors(g, parent)
+        if not succs:
+            continue
+        succ = succs[pick_succ % len(succs)][1]
+        expected = reference.register(succ)
+        assert with_delta.register(succ, parent ^ succ) == expected
+        assert without.register(succ) == expected
+        registered.append(succ)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_delta_agrees_with_full_check(k):
     # walk the reachable transitions of a small instance with static atoms,
     # feeding one table the flipped-atom sets and the other nothing; a third
-    # table tracks every atom, static ones included, as the reference
+    # set of every tuple over every atom, static ones included, is the
+    # reference
     g = ground_bundle(domains.delivery(2, 2, [2], target=4, start=1))
     with_delta = NoveltyTable(all_tuples_up_to(g, k))
     without = NoveltyTable(all_tuples_up_to(g, k))
-    every_atom = NoveltyTable(all_tuples_up_to_n(g.n_atoms, k))
+    every_atom = _EveryTuple(k)
     assert g.init & ~g.fluent_mask
     assert with_delta.register(g.init) == without.register(g.init) == every_atom.register(g.init)
     frontier, seen = [g.init], {g.init}

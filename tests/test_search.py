@@ -352,6 +352,29 @@ def test_iw2_memory_sized_by_fluent_atoms():
     assert peak < 5 * 2**20
 
 
+@pytest.mark.parametrize("make, counts", [
+    (lambda: domains.blocks_on(1, 2), (166, 520, 8)),
+    (lambda: domains.delivery(2, 2, [2, 3, 4], target=1, start=1), (419, 1203, 14)),
+], ids=["on-1-2", "delivery-2x2-3"])
+def test_iw4_counts_pinned(make, counts):
+    r = iw_k(ground_bundle(make()), 4)
+    assert (r.stats.expanded, r.stats.generated, len(r.plan)) == counts
+
+
+def test_iw4_memory_one_bit_per_tuple():
+    # a table holding each seen 4-tuple as a tuple object peaks near 0.75 MB
+    g = ground_bundle(domains.blocks_on(1, 2))
+    iw_k(g, 4)  # the second call measures the search, not first-use set-up
+    tracemalloc.start()
+    try:
+        r = iw_k(g, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.solved
+    assert peak < 0.4 * 10**6
+
+
 def test_concurrent_searches_share_one_problem():
     bundle = domains.delivery(3, 3, [3, 8], target=1, start=5)
 

@@ -8,6 +8,7 @@ import pytest
 from widthplan import Outcome, bfs_optimal, domains, is_goal, replay
 from widthplan.siw import policy_reachable, run_policy, siw_r
 from widthplan.sketches import parse_sketch, relation
+from widthplan.strips import successors
 from tests.conftest import bundle_features, bundle_sketch, ground_bundle
 
 
@@ -204,6 +205,13 @@ def test_run_policy_hanoi_odd_seven():
     run = run_policy(g, bundle_sketch(bundle), bundle_features(bundle))
     assert run.status == "goal" and len(run.actions) == 2**7 - 1
     assert replay(g, run.actions)[-1] == run.states[-1]
+
+
+def test_run_policy_counts_states_expanded_and_successors(hanoi3):
+    g, bundle = hanoi3
+    run = run_policy(g, bundle_sketch(bundle), bundle_features(bundle))
+    assert run.reached_goal and run.expanded == 7
+    assert run.generated == sum(len(successors(g, s)) for s in run.states if not is_goal(g, s))
 
 
 def test_concurrent_siwr_share_one_problem_and_features():
