@@ -48,17 +48,6 @@ class FeatureError(ValueError):
     pass
 
 
-class VisitMeter:
-    """Counts the atoms the masks of the evaluated kernels cover, for
-    linear-time evaluation audits."""
-
-    def __init__(self):
-        self.visits = 0
-
-    def add(self, n: int):
-        self.visits += n
-
-
 @dataclass(frozen=True)
 class Pattern:
     predicate: str
@@ -147,11 +136,11 @@ class FeatureSet:
             raise FeatureError("duplicate feature name")
         self.features = list(features)
         self.by_name = {f.name: f for f in features}
-        # (problem, kernels, cover) of the last problem valued
-        self._compiled: tuple[GroundProblem, tuple[Kernel, ...], int] | None = None
-        # feature name -> (problem, kernel, cover), shared with every
-        # selection; threads racing on an entry at worst compile it twice
-        self._kernels: dict[str, tuple[GroundProblem, Kernel, int]] = {}
+        # (problem, kernels) of the last problem valued
+        self._compiled: tuple[GroundProblem, tuple[Kernel, ...]] | None = None
+        # feature name -> (problem, kernel), shared with every selection;
+        # threads racing on an entry at worst compile it twice
+        self._kernels: dict[str, tuple[GroundProblem, Kernel]] = {}
 
     def __len__(self) -> int:
         return len(self.features)
@@ -159,24 +148,19 @@ class FeatureSet:
     def __iter__(self):
         return iter(self.features)
 
-    def valuation(
-        self, problem: GroundProblem, s: State, meter: VisitMeter | None = None
-    ) -> tuple[int, ...]:
+    def valuation(self, problem: GroundProblem, s: State) -> tuple[int, ...]:
         """Feature values in `s`.  A kernel is compiled once per problem and
         shared by a set and every set selected from it; it is kept until
         another problem is valued."""
         compiled = self._compiled
         if compiled is None or compiled[0] is not problem:
-            parts = []
+            kernels = []
             for f in self.features:
                 entry = self._kernels.get(f.name)
                 if entry is None or entry[0] is not problem:
-                    entry = self._kernels[f.name] = (problem, *compile_feature(f, problem))
-                parts.append(entry)
-            kernels = tuple(kernel for _, kernel, _ in parts)
-            compiled = self._compiled = (problem, kernels, sum(c for _, _, c in parts))
-        if meter is not None:
-            meter.add(compiled[2])
+                    entry = self._kernels[f.name] = (problem, compile_feature(f, problem))
+                kernels.append(entry[1])
+            compiled = self._compiled = (problem, tuple(kernels))
         return tuple([kernel(s) for kernel in compiled[1]])
 
     def select(self, names_kinds: list[tuple[str, str]]) -> "FeatureSet":
@@ -208,8 +192,7 @@ def boolean_projection(phi: FeatureSet, values: tuple[int, ...]) -> tuple[bool, 
 # Compilation to mask kernels
 #
 # A feature compiles against one GroundProblem into a kernel `s -> int` that
-# reads the state only through atom masks and tables built here.  `cover` is
-# the number of atoms those masks span; a VisitMeter is charged it per call.
+# reads the state only through atom masks and tables built here.
 
 Kernel = Callable[[State], int]
 
@@ -226,27 +209,21 @@ def register_builtin(name: str):
     return deco
 
 
-def evaluate(
-    feature: Feature, problem: GroundProblem, s: State, meter: VisitMeter | None = None
-) -> int:
+def evaluate(feature: Feature, problem: GroundProblem, s: State) -> int:
     """Value of one feature in `s`.  This compiles the feature afresh; a
     FeatureSet compiles once per problem and is the way to evaluate many
     states."""
-    kernel, cover = compile_feature(feature, problem)
-    if meter is not None:
-        meter.add(cover)
-    return kernel(s)
+    return compile_feature(feature, problem)(s)
 
 
-def compile_feature(feature: Feature, problem: GroundProblem) -> tuple[Kernel, int]:
-    """Kernel of `feature` on `problem` and the atoms its masks cover; the
-    kernel raises FeatureError for a bool value outside {0, 1} or a negative
-    value."""
-    inner, cover = _compile(feature.expr, problem)
+def compile_feature(feature: Feature, problem: GroundProblem) -> Kernel:
+    """Kernel of `feature` on `problem`; it raises FeatureError for a bool
+    value outside {0, 1} or a negative value."""
+    inner = _compile(feature.expr, problem)
     if isinstance(feature.expr, Nonzero) or (
         feature.kind == "num" and not _may_be_negative(feature.expr)
     ):
-        return inner, cover  # in range by construction
+        return inner  # in range by construction
     name, is_bool = feature.name, feature.kind == "bool"
 
     def kernel(s: State) -> int:
@@ -257,7 +234,7 @@ def compile_feature(feature: Feature, problem: GroundProblem) -> tuple[Kernel, i
             raise FeatureError(f"feature '{name}' evaluated to negative value {v}")
         return v
 
-    return kernel, cover
+    return kernel
 
 
 def _may_be_negative(expr: Expr) -> bool:
@@ -269,10 +246,10 @@ def _may_be_negative(expr: Expr) -> bool:
     return False
 
 
-def _compile(expr: Expr, problem: GroundProblem) -> tuple[Kernel, int]:
+def _compile(expr: Expr, problem: GroundProblem) -> Kernel:
     if isinstance(expr, Count):
         mask = _pattern_mask(problem, expr.pattern)
-        return (lambda s: (s & mask).bit_count()), mask.bit_count()
+        return lambda s: (s & mask).bit_count()
     if isinstance(expr, Missing):
         return _compile_missing(expr, problem)
     if isinstance(expr, ChainCount):
@@ -283,14 +260,14 @@ def _compile(expr: Expr, problem: GroundProblem) -> tuple[Kernel, int]:
         factory = BUILTINS.get(expr.name)
         if factory is None:
             raise FeatureError(f"unregistered builtin '{expr.name}'")
-        return factory(problem), 0
+        return factory(problem)
     if isinstance(expr, Sum):
-        left, left_cover = _compile(expr.left, problem)
-        right, right_cover = _compile(expr.right, problem)
-        return (lambda s: left(s) + right(s)), left_cover + right_cover
+        left = _compile(expr.left, problem)
+        right = _compile(expr.right, problem)
+        return lambda s: left(s) + right(s)
     if isinstance(expr, Nonzero):
-        inner, cover = _compile(expr.inner, problem)
-        return (lambda s: 1 if inner(s) else 0), cover
+        inner = _compile(expr.inner, problem)
+        return lambda s: 1 if inner(s) else 0
     raise FeatureError(f"unknown expression {expr!r}")
 
 
@@ -301,7 +278,7 @@ def _pattern_mask(problem: GroundProblem, pattern: Pattern) -> State:
     )
 
 
-def _compile_missing(expr: Missing, problem: GroundProblem) -> tuple[Kernel, int]:
+def _compile_missing(expr: Missing, problem: GroundProblem) -> Kernel:
     hole = expr.pattern.args.index("_")
     bits = []
     for obj in expr.objects:
@@ -312,12 +289,12 @@ def _compile_missing(expr: Missing, problem: GroundProblem) -> tuple[Kernel, int
     mask = state_from_atoms(b.bit_length() - 1 for b in bits if b)
     n = len(bits)
     if mask.bit_count() == sum(1 for b in bits if b):
-        return (lambda s: n - (s & mask).bit_count()), mask.bit_count()
+        return lambda s: n - (s & mask).bit_count()
     # an object listed twice counts twice
-    return (lambda s: sum(1 for b in bits if not s & b)), mask.bit_count()
+    return lambda s: sum(1 for b in bits if not s & b)
 
 
-def _compile_chain(expr: ChainCount, problem: GroundProblem) -> tuple[Kernel, int]:
+def _compile_chain(expr: ChainCount, problem: GroundProblem) -> Kernel:
     # "up" counts objects stacked over the seed via pred(above, below).
     ids = problem.atoms_by_predicate.get(expr.predicate, ())
     mask = state_from_atoms(ids)
@@ -345,7 +322,7 @@ def _compile_chain(expr: ChainCount, problem: GroundProblem) -> tuple[Kernel, in
             n += 1
         return n
 
-    return kernel, mask.bit_count()
+    return kernel
 
 
 def _graph(problem: GroundProblem, edges: State) -> dict[str, list[str]]:
@@ -369,7 +346,7 @@ def _bfs(graph: dict[str, list[str]], source: str) -> dict[str, int]:
     return dist
 
 
-def _compile_distance(expr: Distance, problem: GroundProblem) -> tuple[Kernel, int]:
+def _compile_distance(expr: Distance, problem: GroundProblem) -> Kernel:
     """Distance rows are computed here, from every position, over the
     adjacency facts of the initial state.  A state holding other adjacency
     facts (a reachable one only when the adjacency predicate is fluent) gets
@@ -415,7 +392,7 @@ def _compile_distance(expr: Distance, problem: GroundProblem) -> tuple[Kernel, i
             )
         return best
 
-    return kernel, (pos_mask | zero_mask | adj_mask | target_mask).bit_count()
+    return kernel
 
 
 # ---------------------------------------------------------------------------

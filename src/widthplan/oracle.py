@@ -9,13 +9,14 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .features import FeatureSet
 from .novelty import TupleSet
 from .search import GoalTest, bfs_optimal, iw_k
 from .siw import bind
 from .sketches import Sketch, pair_satisfies, strongly_connected_components
-from .strips import GroundProblem, State, applicable_actions, is_goal
+from .strips import GroundProblem, State, applicable_actions, atoms_of, is_goal
 
 
 class OracleError(ValueError):
@@ -23,7 +24,6 @@ class OracleError(ValueError):
 
 
 DEFAULT_CAP = 200_000
-LOWER_BOUND_MAX_K = 2  # largest k `lower_bound_witness` supports
 
 
 @dataclass
@@ -210,6 +210,11 @@ def _require_strips(problem: GroundProblem, what: str):
         raise OracleError(f"{what} requires a positive-conjunction goal")
 
 
+def _require_nonnegative(name: str, value: int):
+    if value < 0:
+        raise OracleError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass
 class AdmissibleReport:
     ok: bool
@@ -295,24 +300,29 @@ def _opt_membership(space: StateSpace, k: int) -> bytearray:
 
     Costs do not decrease along `states`, so a tuple's min-cost states are
     the holders of the tuple in the first cost layer that holds it.  One pass
-    over the layers keeps, as bit masks, what earlier layers held: the atoms
-    (`seen`) and, per fluent atom a, the atoms held together with a
-    (`with_[a]`).  An atom is new in a layer iff it is not in `seen`; a pair
-    {a, b} is new iff b is not in `with_[a]`.
+    over the layers keeps, per tuple U of fewer than k atoms, the mask of the
+    atoms earlier layers held together with U, and one rule decides: U + {b}
+    is new in a layer iff b is not in the mask of U.  The mask of U = () is
+    `seen`, of a single atom a `with1[a]`, of larger U `with_[U]`.  A U that
+    no earlier layer held has an empty mask, so U itself is new; otherwise
+    its mask holds U.
+
+    A non-fluent atom is held by every state or by none, so a tuple holding
+    one is new exactly when its fluent rest is, or, with no fluent rest, in
+    the first layer: tuples U of fluent atoms cover them all.  A state that
+    is not a member holds no new tuple and so adds nothing to any mask; only
+    members are folded in, once their layer is decided.
     """
-    if k > LOWER_BOUND_MAX_K:
-        raise OracleError(f"width lower-bound check supports k <= {LOWER_BOUND_MAX_K}")
+    _require_nonnegative("k", k)
     states, cost = space.states, space.cost
     n = len(states)
     member = bytearray(n)
-    if k <= 0:
-        member[0] = k == 0  # only the empty tuple, true exactly at cost 0
+    if k == 0:
+        member[0] = 1  # only the empty tuple, true exactly at cost 0
         return member
-    # A non-fluent atom is held by every state, so a pair holding one is new
-    # exactly when its other atom is: the single-atom test covers it, and the
-    # pair test walks the fluent atoms only.
     fluent = space.problem.fluent_mask
-    with_ = [0] * space.problem.n_atoms
+    with1 = [0] * space.problem.n_atoms
+    with_: dict[tuple[int, ...], int] = {}
     seen = 0
     lo = 0
     while lo < n:
@@ -325,23 +335,34 @@ def _opt_membership(space: StateSpace, k: int) -> bytearray:
             s = states[i]
             if s & new:
                 member[i] = 1
-            elif k == 2:
+            elif k > 1:
                 rest = s & fluent
                 while rest:
                     low = rest & -rest
                     rest ^= low
-                    if s & ~(with_[low.bit_length() - 1] | low):
+                    if s & ~with1[low.bit_length() - 1]:
                         member[i] = 1
                         break
-        if k == 2:
+                else:  # no tuple of at most two atoms is new in s
+                    if k > 2:
+                        atoms = atoms_of(s & fluent)
+                        member[i] = any(s & ~with_.get(u, 0)
+                                        for r in range(2, k) for u in combinations(atoms, r))
+        if k > 1:
             for i in range(lo, hi):
+                if not member[i]:
+                    continue
                 s = states[i]
                 rest = s & fluent
                 while rest:
                     low = rest & -rest
                     rest ^= low
-                    a = low.bit_length() - 1
-                    with_[a] |= s
+                    with1[low.bit_length() - 1] |= s
+                if k > 2:
+                    atoms = atoms_of(s & fluent)
+                    for r in range(2, k):
+                        for u in combinations(atoms, r):
+                            with_[u] = with_.get(u, 0) | s
         seen |= held
         lo = hi
     return member
@@ -351,29 +372,25 @@ def lower_bound_witness(space: StateSpace, k: int) -> bool:
     """True iff no optimal goal-reaching trajectory stays inside the min-cost
     states of size-<=k tuples; this certifies that the width exceeds k."""
     _require_strips(space.problem, "the width lower bound")
-    if space.problem_cost is None:
+    pc = space.problem_cost
+    if pc is None:
         raise OracleError("width lower bound needs a solvable instance")
     member = _opt_membership(space, k)
-    # forward reachability from the start through cost+1 transitions inside
-    # the membership set, looking for a closest goal state
-    if not member[0]:
-        return True
-    cost, goal, pc = space.cost, space.goal_flags, space.problem_cost
+    # one forward sweep: a cost + 1 edge leads to a later state, so every
+    # state is reached or not before the sweep gets to it
+    cost, goal = space.cost, space.goal_flags
     offsets, targets = space.offsets, space.targets
-    seen = bytearray(len(space))
-    seen[0] = 1
-    queue = [0]
-    pos = 0
-    while pos < len(queue):
-        i = queue[pos]
-        pos += 1
-        ci = cost[i]
-        if goal[i] and ci == pc:
+    reached = bytearray(len(space))
+    reached[0] = member[0]
+    for i in range(bisect_right(cost, pc)):
+        if not reached[i]:
+            continue
+        if goal[i]:  # a goal of cost <= pc has cost pc
             return False
+        c = cost[i] + 1
         for j in targets[offsets[i]:offsets[i + 1]]:
-            if not seen[j] and member[j] and cost[j] == ci + 1:
-                seen[j] = 1
-                queue.append(j)
+            if member[j] and cost[j] == c:
+                reached[j] = 1
     return True
 
 
@@ -409,6 +426,7 @@ def _smallest_width(
     goal_test: GoalTest | None = None,
 ) -> int | None:
     """Smallest k <= k_cap whose IW(k) returns a plan of length `optimal`."""
+    _require_nonnegative("k_cap", k_cap)
     for k in range(k_cap + 1):
         result = iw_k(problem, k, goal_test, start=start)
         if result.solved and len(result.plan) == optimal:
@@ -483,33 +501,36 @@ def sketch_width_on(
     the sketch relation.  Successor subgoals induce new subproblems; distant
     subgoals only do when no successor of s is a goal or subgoal.
     """
+    _require_nonnegative("k_cap", k_cap)
     problem = space.problem
     state_val, compat = _compatibility(space, sketch, phi)
     states, index, goal_flags = space.states, space.index, space.goal_flags
     offsets, targets = space.offsets, space.targets
     family: list[int] = [0]
     in_family = {0}
+    # per non-goal member, the distance to its nearest goal or subgoal, that
+    # is the subproblem's optimal cost; None for a dead end
+    optimal: dict[int, int | None] = {}
     pos = 0
     while pos < len(family):
         i = family[pos]
         pos += 1
         if goal_flags[i]:
             continue
-        ca = state_val[i]
+        below = compat[state_val[i]]
         succs = targets[offsets[i]:offsets[i + 1]]
-        has_goal_or_subgoal_succ = any(
-            goal_flags[j] or compat[ca][state_val[j]] for j in succs
-        )
-        new_starts: list[int] = []
-        if has_goal_or_subgoal_succ:
-            for j in succs:
-                if not goal_flags[j] and compat[ca][state_val[j]]:
-                    new_starts.append(j)
+        if any(goal_flags[j] or below[state_val[j]] for j in succs):
+            new_starts = [j for j in succs if not goal_flags[j] and below[state_val[j]]]
+            dist = 0 if below[state_val[i]] else 1
         else:
-            new_starts = [
-                j for j, _d in _breadth_first(space, i)
-                if not goal_flags[j] and compat[ca][state_val[j]]
-            ]
+            new_starts, dist = [], None
+            for j, d in _breadth_first(space, i):
+                if goal_flags[j] or below[state_val[j]]:
+                    if dist is None:
+                        dist = d
+                    if not goal_flags[j]:
+                        new_starts.append(j)
+        optimal[i] = dist
         for j in new_starts:
             if j not in in_family:
                 in_family.add(j)
@@ -525,16 +546,12 @@ def sketch_width_on(
             continue
         below = compat[state_val[i]]
 
-        def reached(j: int, below=below) -> bool:
+        def subgoal(st: State, below=below) -> bool:
+            j = index[st]
             return bool(goal_flags[j] or below[state_val[j]])
 
-        def subgoal(st: State, reached=reached) -> bool:
-            return reached(index[st])
-
-        optimal = next((d for j, d in _breadth_first(space, i) if reached(j)), None)
-        # no goal or subgoal reachable: a dead-end subproblem
-        w = None if optimal is None else _smallest_width(
-            problem, optimal, k_cap, start=states[i], goal_test=subgoal
+        w = None if optimal[i] is None else _smallest_width(
+            problem, optimal[i], k_cap, start=states[i], goal_test=subgoal
         )
         widths[i] = w
         if w is None:

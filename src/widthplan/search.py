@@ -86,6 +86,8 @@ def _bfs(
     `accept` every state is expanded, which is plain BFS, and an exhausted
     queue means that no plan exists.
     """
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
     t0 = time.perf_counter()
     if goal_test is None:
         goal_test = partial(is_goal, problem)

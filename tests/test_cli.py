@@ -205,15 +205,35 @@ def test_oracle_width_outputs(gen_dir, tmp_path, capsys):
         assert captured.err.startswith(message)
 
 
-def test_oracle_width_above_lower_bound_range_is_unchecked(tmp_path, capsys):
-    # width 4 needs the lower bound at k = 3, beyond what it supports
+def test_oracle_width_four_is_certified(tmp_path, capsys):
+    # width 4 is certified by the lower bound at k = 3
     params = ["width=2", "height=2", "packages=2,3,4", "target=1", "start=1"]
     assert main(["gen", "--family", "delivery", "--params", *params, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     base = ["--domain", str(tmp_path / "domain.pddl"), "--problem", str(tmp_path / "problem.pddl")]
     assert main(["oracle", "width", *base, "--k-cap", "4"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == "width=4 certified=unchecked\n" and captured.err == ""
+    assert captured.out == "width=4 certified=yes\n" and captured.err == ""
+    assert main(["oracle", "lower-bound", *base, "--k", "3"]) == 0
+    assert capsys.readouterr().out == "width_exceeds_3=yes\n"
+    assert main(["oracle", "lower-bound", *base, "--k", "4"]) == 1
+    assert capsys.readouterr().out == "width_exceeds_4=no\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "lower-bound", "--k", "-1"], "error: k must be >= 0, got -1"),
+    (["oracle", "width", "--k-cap", "-1"], "error: k_cap must be >= 0, got -1"),
+    (["oracle", "sketch-width", "--k-cap", "-2", "--features", "features.feat",
+      "--sketch", "r5.sketch"], "error: k_cap must be >= 0, got -2"),
+    (["solve", "--alg", "bfs", "--max-nodes", "-1"], "error: max_nodes must be >= 0, got -1"),
+], ids=["lower-bound", "width", "sketch-width", "solve"])
+def test_negative_width_or_budget_exit_two(gen_dir, capsys, argv, message):
+    d = gen_dir["delivery"]
+    argv = [str(d / a) if a.endswith((".feat", ".sketch")) else a for a in argv]
+    code = main([*argv, "--domain", str(d / "domain.pddl"), "--problem", str(d / "problem.pddl")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == message + "\n"
 
 
 def test_oracle_sketch_checks(gen_dir, capsys):
@@ -317,12 +337,34 @@ def test_solve_random_argv_keeps_exit_contract(gen_dir, data, family, alg):
             "--problem", str(d / "problem.pddl")]
     for flag in ("--k", "--max-nodes"):
         if data.draw(st.booleans()):
-            argv += [flag, str(data.draw(st.integers(-1, 3) if flag == "--k" else st.integers(0, 60)))]
+            argv += [flag, str(data.draw(st.integers(-1, 3) if flag == "--k" else st.integers(-1, 60)))]
     for flag in ("--tuples", "--features", "--sketch"):
         if data.draw(st.booleans()):
             argv += [flag, str(d / data.draw(st.sampled_from(files)))]
     if data.draw(st.booleans()):
         argv.append("--json")
+    _run_cli(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    family=st.sampled_from(["blocks-clear", "delivery", "hanoi", "grid"]),
+    check=st.sampled_from([
+        "admissible", "envelope", "lower-bound", "width", "sketch-width", "feature-acyclic",
+    ]),
+)
+def test_oracle_random_argv_keeps_exit_contract(gen_dir, data, family, check):
+    d = gen_dir[family]
+    files = sorted(p.name for p in d.iterdir()) + ["absent.txt"]
+    argv = ["oracle", check, "--domain", str(d / "domain.pddl"),
+            "--problem", str(d / "problem.pddl")]
+    for flag in ("--k", "--k-cap"):
+        if data.draw(st.booleans()):
+            argv += [flag, str(data.draw(st.integers(-1, 3)))]
+    for flag in ("--tuples", "--features", "--sketch"):
+        if data.draw(st.booleans()):
+            argv += [flag, str(d / data.draw(st.sampled_from(files)))]
     _run_cli(argv)
 
 

@@ -393,16 +393,22 @@ def _membership_reference(space, k):
     return [any(best[t] == space.cost[i] for t in ts) for i, ts in enumerate(tuples_of)]
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_opt_membership_matches_tuple_dicts(graph_space, k):
     _g, space = graph_space
     assert [bool(m) for m in _opt_membership(space, k)] == _membership_reference(space, k)
 
 
-def test_opt_membership_refuses_k3(qclear2):
-    g, _ = qclear2
-    with pytest.raises(OracleError, match="k <= 2"):
-        _opt_membership(enumerate_space(g), 3)
+def test_lower_bound_is_monotone_in_k(graph_space):
+    # a trajectory inside the min-cost states of tuples of size <= k - 1
+    # stays inside those of size <= k
+    g, space = graph_space
+    if g.goal_neg:
+        with pytest.raises(OracleError, match="positive-conjunction"):
+            lower_bound_witness(space, 0)
+        return
+    verdicts = [lower_bound_witness(space, k) for k in range(4)]
+    assert verdicts == sorted(verdicts, reverse=True)
 
 
 def test_cap_raises_at_the_same_state_count(graph_space):

@@ -60,6 +60,21 @@ def test_bfs_node_limit():
     assert r.outcome is Outcome.FAILURE and "limit" in r.reason
 
 
+@pytest.mark.parametrize("search", [bfs_optimal, iw, iw_k, iw_t, iw_phi])
+def test_negative_node_budget_rejected(qclear2, search):
+    g, bundle = qclear2
+    args = {
+        iw_k: (1,),
+        iw_t: (parse_tuple_set(bundle.tuple_sets["walk"], g),),
+        iw_phi: (parse_features(bundle.features_text),),
+    }.get(search, ())
+    with pytest.raises(ValueError, match="max_nodes must be >= 0, got -1"):
+        search(g, *args, max_nodes=-1)
+    # a budget of 0 is valid: the root alone is over it
+    r = search(g, *args, max_nodes=0)
+    assert r.outcome is Outcome.FAILURE and r.reason.startswith("node limit 0 exceeded")
+
+
 def test_iwt_on_admissible_set_is_optimal(qclear2):
     g, bundle = qclear2
     tuples = parse_tuple_set(bundle.tuple_sets["walk"], g)
