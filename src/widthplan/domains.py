@@ -9,6 +9,7 @@ explicit tuple-set files.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .pddl import ActionSchema, DomainAst, GroundAtomAst, ProblemAst, SchemaAtom
@@ -87,6 +88,9 @@ def blocks(
     blocks_all = [b for t in towers for b in t] + ([holding] if holding else [])
     if len(set(blocks_all)) != len(blocks_all):
         raise DomainError("duplicate block names")
+    for b in blocks_all:
+        if not re.fullmatch(r"[a-z][a-z0-9_-]*", b):
+            raise DomainError(f"bad block name {b!r}: lowercase letters, digits, '_' or '-'")
     init: list[GroundAtomAst] = []
     for tower in towers:
         if not tower:
@@ -101,10 +105,13 @@ def blocks(
         init.append(_ga("handempty"))
     if goal[0] == "clear" and len(goal) == 2:
         goal_pos = (_ga("clear", goal[1]),)
-    elif goal[0] == "on" and len(goal) == 3:
+    elif goal[0] == "on" and len(goal) == 3 and goal[1] != goal[2]:
         goal_pos = (_ga("on", goal[1], goal[2]),)
     else:
         raise DomainError(f"unsupported blocks goal {goal!r}")
+    for b in goal[1:]:
+        if b not in blocks_all:
+            raise DomainError(f"goal block '{b}' is in no tower and not held")
     problem = ProblemAst(
         name, "blocks", tuple(sorted(blocks_all)), tuple(init), goal_pos, ()
     )
@@ -149,6 +156,8 @@ def blocks_clear(height: int, holding: str | None = None) -> Bundle:
 def blocks_on(above_x: int, above_y: int) -> Bundle:
     """On-goal instance with x and y in different towers, `above_x` blocks
     over x (b1 topmost) and `above_y` over y (d1 topmost); goal on(x, y)."""
+    if above_x < 0 or above_y < 0:
+        raise DomainError("block counts must be non-negative")
     bs = [f"b{i}" for i in range(1, above_x + 1)]
     ds = [f"d{i}" for i in range(1, above_y + 1)]
     tower_x = ["x"] + list(reversed(bs))
@@ -214,6 +223,8 @@ _GRID_DOMAIN = DomainAst(
 
 
 def grid(width: int, height: int, start: int, goal: int) -> Bundle:
+    if width < 1 or height < 1:
+        raise DomainError("width and height must be >= 1")
     cells = _grid_cells(width, height)
     if not (1 <= start <= len(cells) and 1 <= goal <= len(cells)):
         raise DomainError("start/goal cell out of range")
@@ -257,6 +268,8 @@ def grid2(
     width: int, height: int, start: tuple[int, int], goal: tuple[int, int]
 ) -> Bundle:
     """Grid with split horizontal/vertical position coordinates."""
+    if not all(1 <= x <= width and 1 <= y <= height for x, y in (start, goal)):
+        raise DomainError("start/goal cell out of range")
     hs = [f"h{i}" for i in range(1, width + 1)]
     vs = [f"v{i}" for i in range(1, height + 1)]
     init = [_ga("hpos", f"h{start[0]}"), _ga("vpos", f"v{start[1]}")]
@@ -336,6 +349,8 @@ def delivery(
     width: int, height: int, packages: list[int], target: int, start: int
 ) -> Bundle:
     """Delivery instance; `packages` lists the start cell of each package."""
+    if width < 1 or height < 1:
+        raise DomainError("width and height must be >= 1")
     cells = _grid_cells(width, height)
     names = [f"p{i}" for i in range(1, len(packages) + 1)]
     for c in packages + [target, start]:

@@ -1,16 +1,19 @@
 """Instantiate schema-level domain/problem ASTs into a GroundProblem.
 
 Atoms are enumerated for every predicate over injective object tuples in
-lexicographic (predicate, args) order; actions over all object tuples in
-lexicographic (schema, args) order.  A candidate action is dropped when it
-mentions an atom outside the universe (a repeated-argument instantiation)
-or when a precondition on a static predicate (one never occurring in any
-effect) is false in the initial state.
+lexicographic (predicate, args) order.  Actions are enumerated in
+lexicographic (schema, args) order over the bindings that a join of the
+schema's static preconditions (those on a predicate never occurring in
+any effect) against the initial facts admits: a parameter ranges over the
+values some initial fact allows it, given the earlier parameters, and over
+all objects when no static precondition mentions it.  A binding is then
+dropped when it mentions an atom outside the universe (a repeated-argument
+instantiation) or when it adds and deletes the same atom.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations
 
 from .pddl import DomainAst, ProblemAst
 from .strips import GroundAction, GroundAtom, GroundProblem, state_from_atoms
@@ -41,34 +44,35 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
             atoms.append(GroundAtom(len(atoms), pred, args))
 
     fluent = {a.predicate for s in domain.schemas for a in s.add + s.delete}
-    static_preds = {p for p, _ in domain.predicates} - fluent
+    static_facts: dict[str, set[tuple[str, ...]]] = {
+        p: set() for p, _ in domain.predicates if p not in fluent
+    }
 
     init_ids = []
     for ga in problem.init:
         aid = _lookup(index, ga.predicate, ga.args, domain, "init")
         init_ids.append(aid)
+        if ga.predicate in static_facts:
+            static_facts[ga.predicate].add(ga.args)
     init = state_from_atoms(init_ids)
 
     actions: list[GroundAction] = []
     for schema in sorted(domain.schemas, key=lambda s: s.name):
-        for binding_args in product(objects, repeat=len(schema.params)):
-            binding = dict(zip(schema.params, binding_args))
-            pre = _bind_all(schema.pre, binding, index)
-            add = _bind_all(schema.add, binding, index)
-            delete = _bind_all(schema.delete, binding, index)
-            if pre is None or add is None or delete is None:
+        position = {v: i for i, v in enumerate(schema.params)}
+        pre, add, delete = (
+            [(a.predicate, tuple(position[v] for v in a.args)) for a in part]
+            for part in (schema.pre, schema.add, schema.delete)
+        )
+        for args in _bindings(schema, position, objects, static_facts):
+            pre_mask = _mask(pre, args, index)
+            add_mask = _mask(add, args, index)
+            del_mask = _mask(delete, args, index)
+            if pre_mask is None or add_mask is None or del_mask is None:
                 continue  # mentions a repeated-argument atom: statically impossible
-            pre_mask = state_from_atoms(pre)
-            add_mask = state_from_atoms(add)
-            del_mask = state_from_atoms(delete)
             if add_mask & del_mask:
                 continue  # degenerate binding adding and deleting one atom
-            if any(
-                atoms[a].predicate in static_preds and not (init >> a) & 1 for a in pre
-            ):
-                continue  # static precondition false in init, never achievable
             actions.append(
-                GroundAction(len(actions), schema.name, binding_args, pre_mask, add_mask, del_mask)
+                GroundAction(len(actions), schema.name, args, pre_mask, add_mask, del_mask)
             )
 
     goal_pos = state_from_atoms(
@@ -108,12 +112,67 @@ def _lookup(index, predicate, args, domain: DomainAst, where: str) -> int:
     return aid
 
 
-def _bind_all(schema_atoms, binding, index) -> list[int] | None:
-    out = []
-    for atom in schema_atoms:
-        args = tuple(binding[v] for v in atom.args)
-        aid = index.get((atom.predicate, args))
+def _bindings(schema, position, objects, static_facts):
+    """Parameter tuples of `schema`, in lexicographic order, under which
+    every static precondition is an initial fact.
+
+    Backtracks over the parameters in declared order.  joins[i] holds one
+    (earlier, options) pair per static precondition mentioning parameter i:
+    `options` maps the values of that precondition's parameters before i
+    (positions `earlier`) to the sorted values i may take in some matching
+    initial fact.  At a precondition's last parameter this admits exactly
+    the bindings that make it an initial fact.
+    """
+    n = len(schema.params)
+    joins: list[list] = [[] for _ in range(n)]
+    for atom in schema.pre:
+        facts = static_facts.get(atom.predicate)
+        if facts is None:
+            continue  # fluent precondition
+        positions = [position[v] for v in atom.args]
+        if len(set(positions)) < len(positions):
+            return  # a repeated variable: no initial fact repeats an object
+        if not positions:
+            if () not in facts:
+                return  # 0-ary static precondition false in init
+            continue
+        matches = [dict(zip(positions, fact)) for fact in facts]
+        mentioned = sorted(positions)
+        for rank, i in enumerate(mentioned):
+            earlier = mentioned[:rank]
+            options: dict[tuple[str, ...], set[str]] = {}
+            for value in matches:
+                options.setdefault(tuple(value[j] for j in earlier), set()).add(value[i])
+            joins[i].append((earlier, {k: sorted(v) for k, v in options.items()}))
+
+    args: list[str] = [""] * n
+
+    def extend(i):
+        if i == n:
+            yield tuple(args)
+            return
+        if joins[i]:
+            found = [options.get(tuple(args[j] for j in earlier), ())
+                     for earlier, options in joins[i]]
+            candidates = found[0]
+            if len(found) > 1:
+                candidates = sorted(set(candidates).intersection(*found[1:]))
+        else:
+            candidates = objects
+        for o in candidates:
+            args[i] = o
+            yield from extend(i + 1)
+
+    yield from extend(0)
+
+
+def _mask(compiled, args, index) -> int | None:
+    """OR of the atoms (predicate, parameter positions) under `args`, or None
+    when one of them is outside the universe."""
+    mask = 0
+    for predicate, positions in compiled:
+        aid = index.get((predicate, tuple(args[p] for p in positions)))
         if aid is None:
             return None
-        out.append(aid)
-    return out
+        mask |= 1 << aid
+    return mask

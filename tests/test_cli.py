@@ -4,12 +4,14 @@ import contextlib
 import io
 import json
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from widthplan.cli import main
+from tests.test_grounding import assert_same_grounding
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +324,63 @@ def _run_cli(argv):
 def test_gen_random_argv_keeps_exit_contract(tmp_path, family, params):
     out = tempfile.mkdtemp(dir=tmp_path)
     _run_cli(["gen", "--family", family, "--params", *params, "--out", out])
+
+
+_SMALL = st.one_of(st.integers(1, 3), st.integers(-2, 4))  # half in range, half anything
+_INT = _SMALL.map(str)
+_PAIR = st.tuples(_SMALL, _SMALL).map(lambda p: f"{p[0]},{p[1]}")
+_BLOCK = st.sampled_from("abcd")
+_GEN_PARAMS = {
+    "blocks-clear": st.fixed_dictionaries({"l": _INT}, optional={"held": st.sampled_from("hxb")}),
+    "blocks-on": st.fixed_dictionaries({"l": _INT, "m": _INT}),
+    "blocks": st.fixed_dictionaries(
+        {
+            "towers": st.lists(
+                st.lists(_BLOCK | st.sampled_from(["", "B", "(e"]), min_size=1, max_size=3)
+                .map(".".join), min_size=1, max_size=2).map(";".join),
+            "goal": st.one_of(
+                _BLOCK.map("clear:{}".format),
+                st.tuples(_BLOCK, _BLOCK).map(lambda b: f"on:{b[0]}:{b[1]}"),
+            ),
+        },
+        optional={"held": _BLOCK},
+    ),
+    "grid": st.fixed_dictionaries(
+        {"width": _INT, "height": _INT, "start": _INT, "goal": _INT}),
+    "grid2": st.fixed_dictionaries(
+        {"width": _INT, "height": _INT, "start": _PAIR, "goal": _PAIR}),
+    "delivery": st.fixed_dictionaries({
+        "width": _INT, "height": _INT, "target": _INT, "start": _INT,
+        "packages": st.lists(st.integers(-1, 4), max_size=2).map(
+            lambda xs: ",".join(map(str, xs))),
+    }),
+    "marbles": st.fixed_dictionaries({
+        "counts": st.lists(st.integers(-1, 2), max_size=2).map(
+            lambda xs: ",".join(map(str, xs))),
+    }),
+    "hanoi": st.fixed_dictionaries({"n": st.integers(-1, 3).map(str)},
+                                   optional={"from": _INT, "to": _INT}),
+}
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), family=st.sampled_from(sorted(_GEN_PARAMS)))
+def test_gen_small_integer_params_write_groundable_bundles(tmp_path, data, family):
+    params = data.draw(_GEN_PARAMS[family])
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    argv = ["gen", "--family", family, "--params",
+            *(f"{k}={v}" for k, v in params.items()), "--out", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 2), (argv, code)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error:"), (argv, err)
+        return
+    assert_same_grounding((out / "domain.pddl").read_text(), (out / "problem.pddl").read_text())
 
 
 @settings(max_examples=40, deadline=None)

@@ -102,3 +102,32 @@ def test_invalid_specs_rejected():
         domains.marbles([])
     with pytest.raises(DomainError):
         domains.hanoi(3, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("grid2", {"width": "3", "height": "3", "start": "0,0", "goal": "3,3"}, "out of range"),
+        ("grid2", {"width": "3", "height": "3", "start": "1,1", "goal": "4,4"}, "out of range"),
+        ("grid", {"width": "-2", "height": "-3", "start": "1", "goal": "6"}, "width and height"),
+        ("delivery", {"width": "0", "height": "2", "packages": "1", "target": "1", "start": "1"},
+         "width and height"),
+        ("blocks-on", {"l": "-1", "m": "2"}, "non-negative"),
+        ("blocks-on", {"l": "1", "m": "-3"}, "non-negative"),
+        ("blocks", {"towers": "a.b;c", "goal": "on:a:z"}, "no tower"),
+        ("blocks", {"towers": "a.b", "goal": "clear:c"}, "no tower"),
+        ("blocks", {"towers": "a.b", "goal": "on:a:a"}, "unsupported"),
+        ("blocks", {"towers": "a.;b", "goal": "clear:a"}, "bad block name"),
+        ("blocks", {"towers": "a b", "goal": "clear:a"}, "bad block name"),
+        ("blocks", {"towers": "a.B", "goal": "clear:a"}, "bad block name"),
+        ("blocks-clear", {"l": "2", "held": "(x"}, "bad block name"),
+    ],
+)
+def test_generate_rejects_bad_input(family, params, message):
+    with pytest.raises(DomainError, match=message):
+        generate(family, params)
+
+
+def test_blocks_goal_on_held_block_accepted():
+    g = ground_bundle(generate("blocks", {"towers": "a.b", "goal": "on:c:a", "held": "c"}))
+    assert bfs_optimal(g).solved

@@ -1,11 +1,15 @@
 """Grounder: enumeration order, counts, static pruning, schema fidelity."""
 
+from itertools import permutations, product
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from widthplan import apply, bfs_optimal, domains, ground, is_goal
 from widthplan import parse_domain, parse_problem
 from widthplan.grounding import GroundingError
-from widthplan.strips import atoms_of
+from widthplan.strips import GroundAction, GroundAtom, GroundProblem, atoms_of, state_from_atoms
 from tests.conftest import ground_bundle
 
 
@@ -116,3 +120,185 @@ def test_ground_plan_matches_schema_simulation(bundle):
     end_ground = {(g.atoms[i].predicate, g.atoms[i].args) for i in atoms_of(s)}
     assert end_ground == end_schema
     assert is_goal(g, s)
+
+
+# Parity with the product grounder: the static join must give the same
+# GroundProblem, bit for bit, as trying every object tuple.
+
+
+def _ground_by_product(domain, problem):
+    """Reference grounder: every object tuple of each schema, dropped when it
+    mentions an atom outside the universe, adds and deletes one atom, or has
+    a static precondition false in init."""
+    objects = tuple(sorted(problem.objects))
+    atoms, index = [], {}
+    for pred, arity in sorted(domain.predicates):
+        for args in permutations(objects, arity):
+            index[(pred, args)] = len(atoms)
+            atoms.append(GroundAtom(len(atoms), pred, args))
+    fluent = {a.predicate for s in domain.schemas for a in s.add + s.delete}
+    static_preds = {p for p, _ in domain.predicates} - fluent
+    init = state_from_atoms(index[(a.predicate, a.args)] for a in problem.init)
+
+    def bind_all(schema_atoms, binding):
+        out = []
+        for atom in schema_atoms:
+            aid = index.get((atom.predicate, tuple(binding[v] for v in atom.args)))
+            if aid is None:
+                return None
+            out.append(aid)
+        return out
+
+    actions = []
+    for schema in sorted(domain.schemas, key=lambda s: s.name):
+        for binding_args in product(objects, repeat=len(schema.params)):
+            binding = dict(zip(schema.params, binding_args))
+            pre = bind_all(schema.pre, binding)
+            add = bind_all(schema.add, binding)
+            delete = bind_all(schema.delete, binding)
+            if pre is None or add is None or delete is None:
+                continue
+            pre_mask = state_from_atoms(pre)
+            add_mask = state_from_atoms(add)
+            del_mask = state_from_atoms(delete)
+            if add_mask & del_mask:
+                continue
+            if any(
+                atoms[a].predicate in static_preds and not (init >> a) & 1 for a in pre
+            ):
+                continue
+            actions.append(
+                GroundAction(len(actions), schema.name, binding_args, pre_mask, add_mask, del_mask)
+            )
+    goal_pos = state_from_atoms(index[(a.predicate, a.args)] for a in problem.goal_pos)
+    goal_neg = state_from_atoms(index[(a.predicate, a.args)] for a in problem.goal_neg)
+    return GroundProblem(
+        problem.name, tuple(atoms), tuple(actions), init, goal_pos, goal_neg, objects
+    )
+
+
+def assert_same_grounding(domain_text, problem_text):
+    domain, problem = parse_domain(domain_text), parse_problem(problem_text)
+    g, ref = ground(domain, problem), _ground_by_product(domain, problem)
+    assert g.atoms == ref.atoms
+    assert g.actions == ref.actions
+    assert (g.init, g.goal_pos, g.goal_neg, g.objects) == (
+        ref.init, ref.goal_pos, ref.goal_neg, ref.objects
+    )
+    assert g == ref
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("blocks-clear", {"l": "3"}),
+        ("blocks-clear", {"l": "2", "held": "h"}),
+        ("blocks-on", {"l": "2", "m": "1"}),
+        ("blocks", {"towers": "a.b;c", "goal": "on:c:a", "held": "d"}),
+        ("grid", {"width": "4", "height": "3", "start": "1", "goal": "12"}),
+        ("grid2", {"width": "4", "height": "3", "start": "1,1", "goal": "4,3"}),
+        ("delivery", {"width": "3", "height": "3", "packages": "3,8", "target": "1", "start": "5"}),
+        ("marbles", {"counts": "2,2,1"}),
+        ("hanoi", {"n": "4", "from": "2", "to": "1"}),
+    ],
+)
+def test_join_matches_product_on_every_family(family, params):
+    bundle = domains.generate(family, params)
+    assert_same_grounding(bundle.domain_text, bundle.problem_text)
+
+
+_PROBLEM = "(define (problem i) (:domain t) (:objects {}) (:init {}) (:goal (and)))"
+
+
+@st.composite
+def _untyped_tasks(draw):
+    """A small untyped domain and problem: predicates p0.. of arity 0-2,
+    schemas over ?x ?y ?z, and a random subset of the atom universe as init."""
+    arities = draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+    preds = " ".join(
+        f"(p{i}{''.join(f' ?a{j}' for j in range(k))})" for i, k in enumerate(arities)
+    )
+    n_fluent = draw(st.integers(0, len(arities)))
+    actions = []
+    for n in range(draw(st.integers(1, 3))):
+        params = ["?x", "?y", "?z"][: draw(st.integers(0, 3))]
+        usable = [i for i, k in enumerate(arities) if k == 0 or params]
+
+        def atoms(preds, max_size):
+            if not preds:
+                return []
+            return [
+                f"(p{i}{''.join(' ' + draw(st.sampled_from(params)) for _ in range(arities[i]))})"
+                for i in draw(st.lists(st.sampled_from(preds), max_size=max_size))
+            ]
+
+        pre = atoms(usable, 4)
+        fluent = [i for i in usable if i < n_fluent]  # the others stay static
+        effects = atoms(fluent, 2) + [f"(not {a})" for a in atoms(fluent, 2)]
+        actions.append(
+            f"(:action s{n} :parameters ({' '.join(params)}) "
+            f":precondition (and {' '.join(pre)}) :effect (and {' '.join(effects)}))"
+        )
+    objects = draw(st.lists(st.sampled_from("abcd"), unique=True, max_size=4))
+    universe = [
+        f"(p{i}{''.join(' ' + o for o in args)})"
+        for i, k in enumerate(arities)
+        for args in permutations(sorted(objects), k)
+    ]
+    init = draw(st.lists(st.sampled_from(universe), unique=True)) if universe else []
+    domain = f"(define (domain t) (:predicates {preds}) {' '.join(actions)})"
+    return domain, _PROBLEM.format(" ".join(objects), " ".join(init))
+
+
+def _task(predicates, actions, objects, init):
+    return (
+        f"(define (domain t) (:predicates {predicates}) {actions})",
+        _PROBLEM.format(objects, init),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(task=_untyped_tasks())
+@example(task=_task(  # static precondition with a repeated variable
+    "(stat ?a ?b) (p ?a)",
+    "(:action s :parameters (?x ?y) :precondition (and (stat ?x ?x) (stat ?x ?y)) "
+    ":effect (and (p ?y)))",
+    "a b c", "(stat a b) (stat b a) (stat b c)"))
+@example(task=_task(  # 0-ary static predicate, true in init
+    "(ok) (p ?a)",
+    "(:action s :parameters (?x) :precondition (and (ok)) :effect (and (p ?x)))",
+    "a b", "(ok)"))
+@example(task=_task(  # 0-ary static predicate, false in init
+    "(ok) (p ?a)",
+    "(:action s :parameters (?x) :precondition (and (ok)) :effect (and (p ?x)))",
+    "a b", "(p a)"))
+@example(task=_task(  # a parameter no atom mentions
+    "(stat ?a ?b) (p ?a)",
+    "(:action s :parameters (?x ?z ?y) :precondition (and (stat ?x ?y)) "
+    ":effect (and (p ?y) (not (p ?x))))",
+    "a b c", "(stat a c) (stat c b) (p a)"))
+@example(task=_task(  # no static precondition, as Delivery's pick and drop
+    "(at ?a ?b) (hold ?a) (free)",
+    "(:action pick :parameters (?p ?c) :precondition (and (at ?p ?c) (free)) "
+    ":effect (and (hold ?p) (not (at ?p ?c)) (not (free)))) "
+    "(:action drop :parameters (?p ?c) :precondition (and (hold ?p)) "
+    ":effect (and (at ?p ?c) (free) (not (hold ?p))))",
+    "a b c", "(at a b) (free)"))
+@example(task=_task(  # static preconditions sharing a variable, two ending at ?z
+    "(s1 ?a ?b) (s2 ?a ?b) (s3 ?a) (p ?a)",
+    "(:action s :parameters (?x ?y ?z) "
+    ":precondition (and (s1 ?x ?y) (s2 ?y ?z) (s3 ?z) (p ?x)) :effect (and (p ?z)))",
+    "a b c d e",
+    "(s1 a b) (s1 b c) (s1 c a) (s2 b a) (s2 b c) (s2 b d) (s2 b e) (s2 c a) "
+    "(s3 a) (s3 c) (s3 d) (s3 e) (p a)"))
+@example(task=_task(  # static predicate with no initial facts
+    "(stat ?a) (p ?a)",
+    "(:action s :parameters (?x) :precondition (and (stat ?x)) :effect (and (p ?x)))",
+    "a b", "(p a)"))
+@example(task=_task(  # zero parameters and zero objects
+    "(ok) (p)",
+    "(:action s :parameters () :precondition (and (ok)) :effect (and (p))) "
+    "(:action t :parameters () :precondition (and) :effect (and (not (p))))",
+    "", "(ok)"))
+def test_join_matches_product_on_random_domains(task):
+    assert_same_grounding(*task)
