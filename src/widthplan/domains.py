@@ -546,7 +546,26 @@ def hanoi_odd(n_disks: int) -> Bundle:
 # CLI dispatch
 
 
+# the parameters each family takes
+_PARAMS = {
+    "blocks-clear": {"l", "held"},
+    "blocks-on": {"l", "m"},
+    "blocks": {"towers", "goal", "held"},
+    "grid": {"width", "height", "start", "goal"},
+    "grid2": {"width", "height", "start", "goal"},
+    "delivery": {"width", "height", "packages", "target", "start"},
+    "marbles": {"counts"},
+    "hanoi": {"n", "from", "to"},
+}
+
+
 def generate(family: str, params: dict[str, str]) -> Bundle:
+    if family not in _PARAMS:
+        raise DomainError(f"unknown family '{family}'")
+    unknown = sorted(set(params) - _PARAMS[family])
+    if unknown:
+        raise DomainError(f"unknown parameter '{unknown[0]}' for family '{family}'")
+
     def text(key):
         if key not in params:
             raise DomainError(f"missing parameter '{key}'")
@@ -578,6 +597,4 @@ def generate(family: str, params: dict[str, str]) -> Bundle:
     if family == "marbles":
         counts = [int(v) for v in text("counts").split(",") if v]
         return marbles(counts)
-    if family == "hanoi":
-        return hanoi(ints("n"), ints("from", 1), ints("to", 3))
-    raise DomainError(f"unknown family '{family}'")
+    return hanoi(ints("n"), ints("from", 1), ints("to", 3))  # the last family left

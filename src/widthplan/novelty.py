@@ -44,10 +44,10 @@ class TupleSet:
 
 @dataclass(frozen=True)
 class TupleUniverse:
-    """All tuples of 1..k atoms over an n-atom problem, never materialized.
+    """All tuples of 0..k atoms over an n-atom problem, never materialized.
 
     `fluent` is the mask of atoms that can change truth value; a novelty
-    table over the universe keeps tuples of two or more fluent atoms only.
+    table over the universe keeps masks under tuples of fluent atoms only.
     """
 
     n_atoms: int
@@ -55,17 +55,15 @@ class TupleUniverse:
     fluent: State
 
     def __len__(self) -> int:
-        return sum(comb(self.n_atoms, i) for i in range(1, self.k + 1))
-
-    @property
-    def size(self) -> int:
-        return self.k
+        return sum(comb(self.n_atoms, i) for i in range(self.k + 1))
 
 
 def all_tuples_up_to(problem: GroundProblem, k: int) -> TupleUniverse:
-    if not 0 <= k <= problem.n_atoms:
-        raise ValueError(f"k={k} out of range 0..{problem.n_atoms}")
-    return TupleUniverse(problem.n_atoms, k, problem.fluent_mask)
+    """Every tuple of at most k atoms; no tuple is larger than the atom
+    count, so a larger k gives the universe of every tuple."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return TupleUniverse(problem.n_atoms, min(k, problem.n_atoms), problem.fluent_mask)
 
 
 class NoveltyTable:
@@ -77,14 +75,16 @@ class NoveltyTable:
     the check to tuples containing a flipped atom; this is only sound when
     the parent state was itself registered earlier.
 
-    Over a universe, one rule serves every tuple size: a tuple T of fluent
-    atoms has been seen iff, for some atom a in T, the mask kept under
-    T - {a} holds a.  Only a state that makes some tuple new can add a bit,
-    and it ORs its fluent atoms into the mask of each of its fluent subsets;
-    size 1 is one mask over every atom.  The states one search registers
-    share their non-fluent atoms, so a tuple holding one is new exactly when
-    its fluent part is, and the size-1 mask makes the first state novel when
-    that part is empty.  The verdicts are those of the full universe.
+    Over a universe, `register` is the test `novel(s, delta)` followed, when
+    it passes, by the fold `add(s)`; a caller may also fold states it has
+    tested in a batch.  The empty tuple is true in every state, so it makes
+    exactly the first added state novel.  One rule serves every other tuple
+    size: a tuple T of fluent atoms has been seen iff, for some atom a in T,
+    the mask kept under T - {a} holds a.  `add` ORs the state into the mask
+    of each of its fluent subsets; size 1 is one mask over every atom.  The
+    states one table sees share their non-fluent atoms, so a tuple holding
+    one is new exactly when its fluent part is.  The verdicts are those of
+    the full universe.
     """
 
     def __init__(self, tracked: TupleSet | TupleUniverse):
@@ -95,7 +95,9 @@ class NoveltyTable:
         else:
             self._k = tracked.k
             self._fluent = tracked.fluent
-            self._seen1 = 0
+            self._empty_seen = False
+            # k = 0 tracks no atom: every one counts as seen
+            self._seen1 = 0 if tracked.k else -1
             # size 2: per atom id, the fluent atoms seen together with it
             self._pair = [0] * tracked.n_atoms if tracked.k >= 2 else None
             # sizes 3..k: the same per sorted tuple of 2..k-1 fluent atom ids
@@ -104,7 +106,10 @@ class NoveltyTable:
     def register(self, s: State, delta: State | None = None) -> bool:
         if isinstance(self.tracked, TupleSet):
             return self._register_explicit(s, delta)
-        return self._register_universe(s, delta)
+        if not self.novel(s, delta):
+            return False
+        self.add(s)
+        return True
 
     def _register_explicit(self, s: State, delta: State | None) -> bool:
         novel = False
@@ -119,42 +124,55 @@ class NoveltyTable:
                 novel = True
         return novel
 
-    def _register_universe(self, s: State, delta: State | None) -> bool:
-        k = self._k
-        if not k:  # the universe of k = 0 holds no tuple
-            return False
+    def novel(self, s: State, delta: State | None = None) -> bool:
+        """Whether a tuple of the universe true in `s` is unseen; with
+        `delta`, only tuples holding a flipped atom are examined."""
+        if not self._empty_seen:
+            return True
         scope = s if delta is None else s & delta
-        fs = s & self._fluent
-        if not scope & ~self._seen1 and (k < 2 or not self._fresh(fs, scope)):
+        if scope & ~self._seen1:
+            return True
+        if self._k < 2:
             return False
+        fs = s & self._fluent
+        pair = self._pair
+        rest = fs & scope
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if fs & ~pair[low.bit_length() - 1]:
+                return True
+        return self._k > 2 and self._fresh(fs, scope)
+
+    def add(self, s: State) -> None:
+        """Mark every tuple of the universe true in `s` as seen."""
+        self._empty_seen = True
         self._seen1 |= s
-        if k >= 2:
+        if self._k >= 2:
+            fs = s & self._fluent
             atoms = atoms_of(fs)
             for a in atoms:
                 self._pair[a] |= fs
-            for r in range(2, k):
+            for r in range(2, self._k):
                 for sub in combinations(atoms, r):
                     self._with[sub] = self._with.get(sub, 0) | fs
-        return True
 
     def _fresh(self, fs: State, scope: State) -> bool:
-        """Whether a tuple of 2..k fluent atoms true in `fs` and holding an
-        atom of `scope` is unseen, every such smaller tuple being seen."""
+        """Whether a tuple of 3..k fluent atoms true in `fs` and holding an
+        atom of `scope` is unseen."""
+        with_ = self._with
         flipped = atoms_of(fs & scope)
-        pair = self._pair
-        for a in flipped:
-            if fs & ~pair[a]:
-                return True
-        if self._k < 3:
-            return False
         kept = atoms_of(fs & ~scope)
+        if not kept:  # every atom in scope: the subsets come sorted
+            return any(fs & ~with_.get(sub, 0)
+                       for r in range(2, self._k) for sub in combinations(flipped, r))
         # T is seen iff T - {b} holds b for any b in T, so it suffices to
         # look at the subsets that keep a flipped atom
         for r in range(2, self._k):
             for j in range(1, r + 1):
                 for part in combinations(flipped, j):
                     for rest in combinations(kept, r - j):
-                        if fs & ~self._with.get(tuple(sorted(part + rest)), 0):
+                        if fs & ~with_.get(tuple(sorted(part + rest)), 0):
                             return True
         return False
 

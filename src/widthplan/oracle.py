@@ -9,14 +9,14 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import compress
 
 from .features import FeatureSet
-from .novelty import TupleSet
+from .novelty import NoveltyTable, TupleSet, all_tuples_up_to
 from .search import GoalTest, bfs_optimal, iw_k
 from .siw import bind
 from .sketches import Sketch, pair_satisfies, strongly_connected_components
-from .strips import GroundProblem, State, applicable_actions, atoms_of, is_goal
+from .strips import GroundProblem, State, applicable_actions, is_goal
 
 
 class OracleError(ValueError):
@@ -299,71 +299,25 @@ def _opt_membership(space: StateSpace, k: int) -> bytearray:
     state of some tuple true in it.
 
     Costs do not decrease along `states`, so a tuple's min-cost states are
-    the holders of the tuple in the first cost layer that holds it.  One pass
-    over the layers keeps, per tuple U of fewer than k atoms, the mask of the
-    atoms earlier layers held together with U, and one rule decides: U + {b}
-    is new in a layer iff b is not in the mask of U.  The mask of U = () is
-    `seen`, of a single atom a `with1[a]`, of larger U `with_[U]`.  A U that
-    no earlier layer held has an empty mask, so U itself is new; otherwise
-    its mask holds U.
-
-    A non-fluent atom is held by every state or by none, so a tuple holding
-    one is new exactly when its fluent rest is, or, with no fluent rest, in
-    the first layer: tuples U of fluent atoms cover them all.  A state that
-    is not a member holds no new tuple and so adds nothing to any mask; only
-    members are folded in, once their layer is decided.
+    the holders of the tuple in the first cost layer that holds it: a state
+    is a member iff it holds a tuple no earlier layer held.  One novelty
+    table over the universe sweeps the layers: it tests every state of a
+    layer, then folds in the members.  A state that is not a member holds
+    no new tuple and so would add nothing to the table.  The empty tuple
+    makes the initial state, alone in layer 0, a member at every k.
     """
     _require_nonnegative("k", k)
+    table = NoveltyTable(all_tuples_up_to(space.problem, k))
     states, cost = space.states, space.cost
     n = len(states)
     member = bytearray(n)
-    if k == 0:
-        member[0] = 1  # only the empty tuple, true exactly at cost 0
-        return member
-    fluent = space.problem.fluent_mask
-    with1 = [0] * space.problem.n_atoms
-    with_: dict[tuple[int, ...], int] = {}
-    seen = 0
     lo = 0
     while lo < n:
         hi = bisect_right(cost, cost[lo], lo)
-        held = 0
-        for i in range(lo, hi):
-            held |= states[i]
-        new = held & ~seen
-        for i in range(lo, hi):
-            s = states[i]
-            if s & new:
-                member[i] = 1
-            elif k > 1:
-                rest = s & fluent
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    if s & ~with1[low.bit_length() - 1]:
-                        member[i] = 1
-                        break
-                else:  # no tuple of at most two atoms is new in s
-                    if k > 2:
-                        atoms = atoms_of(s & fluent)
-                        member[i] = any(s & ~with_.get(u, 0)
-                                        for r in range(2, k) for u in combinations(atoms, r))
-        if k > 1:
-            for i in range(lo, hi):
-                if not member[i]:
-                    continue
-                s = states[i]
-                rest = s & fluent
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    with1[low.bit_length() - 1] |= s
-                if k > 2:
-                    atoms = atoms_of(s & fluent)
-                    for r in range(2, k):
-                        for u in combinations(atoms, r):
-                            with_[u] = with_.get(u, 0) | s
-        seen |= held
+        layer = states[lo:hi]
+        member[lo:hi] = bytes(map(table.novel, layer))
+        for s in compress(layer, member[lo:hi]):
+            table.add(s)
         lo = hi
     return member
 
@@ -425,9 +379,10 @@ def _smallest_width(
     start: State | None = None,
     goal_test: GoalTest | None = None,
 ) -> int | None:
-    """Smallest k <= k_cap whose IW(k) returns a plan of length `optimal`."""
+    """Smallest k <= k_cap whose IW(k) returns a plan of length `optimal`;
+    IW(k) above the atom count is IW(n), so no larger k is tried."""
     _require_nonnegative("k_cap", k_cap)
-    for k in range(k_cap + 1):
+    for k in range(min(k_cap, problem.n_atoms) + 1):
         result = iw_k(problem, k, goal_test, start=start)
         if result.solved and len(result.plan) == optimal:
             return k

@@ -155,11 +155,11 @@ def iw_k(
 ) -> SearchResult:
     """Novelty search over all tuples of at most k atoms.
 
-    k=0 degenerates to checking the start state and its direct successors:
-    tracking just the empty tuple expands the root once and prunes all else.
+    The empty tuple lets the start state through, so k=0 checks the start
+    state and its direct successors and expands nothing else.
     """
-    tracked = TupleSet.from_iterable([()]) if k == 0 else all_tuples_up_to(problem, k)
-    result = _bfs(problem, NoveltyTable(tracked).register, max_nodes, goal_test, start)
+    table = NoveltyTable(all_tuples_up_to(problem, k))
+    result = _bfs(problem, table.register, max_nodes, goal_test, start)
     result.k = k
     return result
 
@@ -172,8 +172,9 @@ def iw(
     max_k: int | None = None,
     max_nodes: int | None = None,
 ) -> SearchResult:
-    """Run iw_k for k = 0, 1, ..., max_k (default: the atom count) until a
-    plan is found.
+    """Run iw_k for k = 0, 1, ..., max_k until a plan is found; max_k
+    defaults to, and is capped at, the atom count, above which IW(k) is
+    IW(n).
 
     Stops early when a failed iteration pruned no state (duplicates are
     dropped when generated): it searched the whole reachable space, so no
@@ -181,9 +182,9 @@ def iw(
     `max_nodes` is a budget: the first iteration that hits it ends the run
     with FAILURE instead of moving on to a larger k.
     """
-    top = problem.n_atoms if max_k is None else max_k
-    if not 0 <= top <= problem.n_atoms:
-        raise ValueError(f"max_k={top} out of range 0..{problem.n_atoms}")
+    if max_k is not None and max_k < 0:
+        raise ValueError(f"max_k must be >= 0, got {max_k}")
+    top = problem.n_atoms if max_k is None else min(max_k, problem.n_atoms)
     iterations: list[SearchStats] = []
     for k in range(top + 1):
         result = iw_k(problem, k, goal_test, start=start, max_nodes=max_nodes)

@@ -17,6 +17,19 @@ def bundle_sketch(bundle, name="policy"):
     return parse_sketch(bundle.sketches[name])
 
 
+# Two atoms and no initial fact: `a` adds p, `b` needs p and adds q, the
+# goal is q.  The root holds no atom, so only the empty tuple makes it new.
+EMPTY_ROOT_DOMAIN = """(define (domain empty-root) (:predicates (p) (q))
+  (:action a :parameters () :precondition (and) :effect (and (p)))
+  (:action b :parameters () :precondition (and (p)) :effect (and (q))))"""
+EMPTY_ROOT_PROBLEM = "(define (problem e) (:domain empty-root) (:init) (:goal (and (q))))"
+
+
+@pytest.fixture(scope="session")
+def empty_root():
+    return ground(parse_domain(EMPTY_ROOT_DOMAIN), parse_problem(EMPTY_ROOT_PROBLEM))
+
+
 @pytest.fixture(scope="session")
 def qclear2():
     bundle = domains.blocks_clear(2)

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from widthplan.cli import main
+from tests.conftest import EMPTY_ROOT_DOMAIN, EMPTY_ROOT_PROBLEM
 from tests.test_grounding import assert_same_grounding
 
 
@@ -128,15 +129,15 @@ def test_solve_failure_exit_one(gen_dir, capsys):
 
 def test_solve_iw_k_bounds_the_iterations(gen_dir, capsys):
     # the delivery instance needs k = 3: a lower --k fails, one above the
-    # atom count is an input error
+    # atom count runs as the atom count, a negative one is an input error
     assert _solve(gen_dir, "delivery", "--alg", "iw", "--k", "2", "--json") == 1
     stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert stats["k"] == 2 and stats["verdict"] == "no plan up to k=2"
-    assert _solve(gen_dir, "delivery", "--alg", "iw", "--k", "3", "--json") == 0
-    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["k"] == 3
-    for k in ("-1", "100000"):
-        assert _solve(gen_dir, "delivery", "--alg", "iw", "--k", k) == 2
-        assert "max_k" in capsys.readouterr().err
+    for k in ("3", "100000"):
+        assert _solve(gen_dir, "delivery", "--alg", "iw", "--k", k, "--json") == 0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["k"] == 3
+    assert _solve(gen_dir, "delivery", "--alg", "iw", "--k", "-1") == 2
+    assert "error: max_k must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_sieve_reject_exit_one(gen_dir, capsys):
@@ -220,6 +221,20 @@ def test_oracle_width_four_is_certified(tmp_path, capsys):
     assert capsys.readouterr().out == "width_exceeds_3=yes\n"
     assert main(["oracle", "lower-bound", *base, "--k", "4"]) == 1
     assert capsys.readouterr().out == "width_exceeds_4=no\n"
+
+
+def test_root_with_no_atom_solves_and_certifies(tmp_path, capsys):
+    (tmp_path / "domain.pddl").write_text(EMPTY_ROOT_DOMAIN)
+    (tmp_path / "problem.pddl").write_text(EMPTY_ROOT_PROBLEM)
+    base = ["--domain", str(tmp_path / "domain.pddl"), "--problem", str(tmp_path / "problem.pddl")]
+    assert main(["solve", "--alg", "iw", *base, "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert stats["k"] == 1 and stats["plan_length"] == 2
+    for cap in ([], ["--k-cap", "3"]):  # a cap above the two atoms is no error
+        assert main(["oracle", "width", *base, *cap]) == 0
+        assert capsys.readouterr().out == "width=1 certified=yes\n"
+    assert main(["oracle", "lower-bound", *base, "--k", "1"]) == 1
+    assert capsys.readouterr().out == "width_exceeds_1=no\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -368,6 +383,10 @@ _GEN_PARAMS = {
 @given(data=st.data(), family=st.sampled_from(sorted(_GEN_PARAMS)))
 def test_gen_small_integer_params_write_groundable_bundles(tmp_path, data, family):
     params = data.draw(_GEN_PARAMS[family])
+    # sometimes a key the family does not take, which must be rejected
+    unknown = data.draw(st.none() | st.sampled_from(["form", "size", "k"]))
+    if unknown is not None:
+        params[unknown] = "1"
     out = Path(tempfile.mkdtemp(dir=tmp_path))
     argv = ["gen", "--family", family, "--params",
             *(f"{k}={v}" for k, v in params.items()), "--out", str(out)]
@@ -377,6 +396,9 @@ def test_gen_small_integer_params_write_groundable_bundles(tmp_path, data, famil
     err = stderr.getvalue()
     assert code in (0, 2), (argv, code)
     assert "Traceback" not in err
+    if unknown is not None:
+        assert code == 2 and err == f"error: unknown parameter '{unknown}' for family '{family}'\n"
+        return
     if code == 2:
         assert err.startswith("error:"), (argv, err)
         return

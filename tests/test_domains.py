@@ -121,6 +121,9 @@ def test_invalid_specs_rejected():
         ("blocks", {"towers": "a b", "goal": "clear:a"}, "bad block name"),
         ("blocks", {"towers": "a.B", "goal": "clear:a"}, "bad block name"),
         ("blocks-clear", {"l": "2", "held": "(x"}, "bad block name"),
+        ("hanoi", {"n": "3", "form": "2"}, "unknown parameter 'form' for family 'hanoi'"),
+        ("grid", {"width": "3", "height": "1", "start": "1", "goal": "3", "l": "1"},
+         "unknown parameter 'l'"),
     ],
 )
 def test_generate_rejects_bad_input(family, params, message):

@@ -23,9 +23,17 @@ from tests.conftest import ground_bundle
 
 
 def test_universe_counts():
-    assert len(all_tuples_up_to_n(3, 2)) == 6  # 3 singles + 3 pairs, empty excluded
-    assert len(all_tuples_up_to_n(3, 0)) == 0
-    assert len(all_tuples_up_to_n(4, 4)) == 2**4 - 1
+    assert len(all_tuples_up_to_n(3, 2)) == 7  # the empty tuple, 3 singles, 3 pairs
+    assert len(all_tuples_up_to_n(3, 0)) == 1
+    assert len(all_tuples_up_to_n(4, 4)) == 2**4
+
+
+def test_universe_above_atom_count_holds_every_tuple(qclear2):
+    g, _ = qclear2
+    assert all_tuples_up_to(g, g.n_atoms + 3) == all_tuples_up_to(g, g.n_atoms)
+    assert len(all_tuples_up_to(g, g.n_atoms + 3)) == 2**g.n_atoms
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        all_tuples_up_to(g, -1)
 
 
 def all_tuples_up_to_n(n, k):
@@ -82,7 +90,7 @@ def _walk_problem(name):
 
 
 class _EveryTuple:
-    """The reference table: a plain set of every tuple of 1..k atoms seen,
+    """The reference table: a plain set of every tuple of 0..k atoms seen,
     static atoms included."""
 
     def __init__(self, k):
@@ -91,7 +99,7 @@ class _EveryTuple:
 
     def register(self, s):
         atoms = atoms_of(s)
-        fresh = {t for r in range(1, self.k + 1) for t in combinations(atoms, r)} - self.seen
+        fresh = {t for r in range(self.k + 1) for t in combinations(atoms, r)} - self.seen
         self.seen |= fresh
         return bool(fresh)
 
@@ -149,10 +157,12 @@ def test_delta_agrees_with_full_check(k):
 
 
 def test_k0_universe_tracks_no_tuple():
+    # the k = 0 universe holds only the empty tuple: the first state is new
     g = ground_bundle(domains.grid(3, 1, 1, 3))
     universe = all_tuples_up_to(g, 0)
     table = NoveltyTable(universe)
-    assert len(universe) == 0
+    assert len(universe) == 1
+    assert table.register(g.init) is True
     assert table.register(g.init) is False
     for aid in applicable_actions(g, g.init):
         succ = apply(g, g.init, aid)
@@ -168,7 +178,7 @@ def test_true_returns_bounded_by_tuple_count():
         s = state_from_atoms(rng.sample(range(n), rng.randint(0, 5)))
         if table.register(s):
             hits += 1
-    assert hits <= sum(comb(n, i) for i in range(1, k + 1))
+    assert hits <= sum(comb(n, i) for i in range(k + 1))
 
 
 def test_explicit_true_returns_bounded():

@@ -379,17 +379,16 @@ def test_cost_is_breadth_first_and_does_not_decrease(graph_space):
 
 
 def _membership_reference(space, k):
-    """Min-cost membership for all tuples of size <= k, by tuple dicts."""
+    """Min-cost membership for all tuples of size <= k, the empty tuple
+    included, by tuple dicts."""
     best: dict[tuple[int, ...], int] = {}
     tuples_of = []
     for i, s in enumerate(space.states):
         atoms = atoms_of(s)
-        ts = [t for size in range(1, k + 1) for t in combinations(atoms, size)]
+        ts = [t for size in range(k + 1) for t in combinations(atoms, size)]
         tuples_of.append(ts)
         for t in ts:
             best[t] = min(best.get(t, space.cost[i]), space.cost[i])
-    if k == 0:
-        return [c == 0 for c in space.cost]
     return [any(best[t] == space.cost[i] for t in ts) for i, ts in enumerate(tuples_of)]
 
 
@@ -397,6 +396,19 @@ def _membership_reference(space, k):
 def test_opt_membership_matches_tuple_dicts(graph_space, k):
     _g, space = graph_space
     assert [bool(m) for m in _opt_membership(space, k)] == _membership_reference(space, k)
+
+
+def test_root_with_no_atom_is_a_member_at_every_k(empty_root):
+    # only the empty tuple makes the root a min-cost state, and IW(1) is
+    # optimal, so the width does not exceed 1
+    space = enumerate_space(empty_root)
+    assert space.start == 0
+    for k in range(4):
+        member = _opt_membership(space, k)
+        assert member[0] == 1
+        assert [bool(m) for m in member] == _membership_reference(space, k)
+    assert lower_bound_witness(space, 0) is True
+    assert lower_bound_witness(space, 1) is False
 
 
 def test_lower_bound_is_monotone_in_k(graph_space):

@@ -164,10 +164,13 @@ def test_iw_stops_at_first_iteration_over_node_limit():
 
 
 def test_iw_rejects_max_k_out_of_range(qclear2):
+    # only a negative max_k is out of range: one above the atom count runs
+    # as the atom count, since no tuple is larger
     g, _ = qclear2
-    for max_k in (-1, g.n_atoms + 1):
-        with pytest.raises(ValueError, match="max_k"):
-            iw(g, max_k=max_k)
+    with pytest.raises(ValueError, match="max_k must be >= 0, got -1"):
+        iw(g, max_k=-1)
+    above, at = iw(g, max_k=g.n_atoms + 1), iw(g, max_k=g.n_atoms)
+    assert (above.plan, above.k, above.stats.expanded) == (at.plan, at.k, at.stats.expanded)
 
 
 def test_iw_plan_valid_but_possibly_suboptimal():
@@ -352,6 +355,21 @@ def test_root_with_only_static_atoms_is_expanded(k):
     r = iw_k(g, k)
     assert r.outcome is Outcome.FAILURE
     assert (r.stats.expanded, r.stats.generated) == (2, 3)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_root_with_no_atom_is_expanded(empty_root, k):
+    # the empty tuple is true in the root, and in no state before it
+    assert empty_root.init == 0
+    r = iw_k(empty_root, k)
+    assert r.solved and len(r.plan) == 2
+    assert (r.stats.expanded, r.stats.generated) == (2, 4)
+
+
+def test_iw_solves_root_with_no_atom_at_k1(empty_root):
+    r = iw(empty_root)
+    assert r.solved and r.k == 1
+    assert [it.expanded for it in r.iterations] == [1, 2]
 
 
 def test_iw2_memory_sized_by_fluent_atoms():
