@@ -151,7 +151,7 @@ def _cmd_solve(args) -> int:
             "generated": run.generated, "plan_length": len(run.actions),
             "segments": None, "wall_ms": round(wall_ms, 3), "verdict": verdict,
         }
-        _emit_stats(stats, args.json)
+        _emit_stats(stats, args.json, problem)
         return 0 if run.reached_goal else 1
 
     if result.plan is not None:
@@ -164,7 +164,7 @@ def _cmd_solve(args) -> int:
                 f"f(start)={seg.start_values} f(end)={seg.end_values}"
             )
     stats = _result_stats(alg, args, result, segments)
-    _emit_stats(stats, args.json)
+    _emit_stats(stats, args.json, problem)
     return 0 if result.solved else 1
 
 
@@ -185,8 +185,10 @@ def _result_stats(alg, args, result: SearchResult | SerializedResult, segments):
     }
 
 
-def _emit_stats(stats: dict, as_json: bool):
+def _emit_stats(stats: dict, as_json: bool, problem):
     if as_json:
+        # the size of the ground model searched: numbered atoms, kept actions
+        stats = dict(stats, atoms=problem.n_atoms, actions=len(problem.actions))
         print(json.dumps(stats, sort_keys=True))
     else:
         for key in ("algorithm", "k", "expanded", "generated",
@@ -247,7 +249,7 @@ def _cmd_oracle(args) -> int:
         if report.ok:
             print("verdict=true")
             return 0
-        witness = problem.state_str(report.witness) if report.witness is not None else ""
+        witness = tuples.state_str(problem, report.witness) if report.witness is not None else ""
         print(f"verdict=false reason={report.reason!r} witness={witness}")
         return 1
 

@@ -1,19 +1,27 @@
 """Instantiate schema-level domain/problem ASTs into a GroundProblem.
 
-Atoms are enumerated for every predicate over injective object tuples in
-lexicographic (predicate, args) order.  Actions are enumerated in
-lexicographic (schema, args) order over the bindings that a join of the
-schema's static preconditions (those on a predicate never occurring in
-any effect) against the initial facts admits: a parameter ranges over the
-values some initial fact allows it, given the earlier parameters, and over
-all objects when no static precondition mentions it.  A binding is then
-dropped when it mentions an atom outside the universe (a repeated-argument
-instantiation) or when it adds and deletes the same atom.
+Actions are enumerated in lexicographic (schema, args) order over the
+bindings that a join of the schema's static preconditions (those on a
+predicate never occurring in any effect) against the initial facts admits:
+a parameter ranges over the values some initial fact allows it, given the
+earlier parameters, and over all objects when no static precondition
+mentions it.  A binding is dropped when it mentions a repeated-argument
+atom or when it adds and deletes the same atom.
+
+No atom universe is built.  The join interns each atom a binding mentions,
+and one relaxed fixpoint from the initial facts, which ignores deletes,
+finds the atoms that can be true and the actions that can be applied
+(Helmert, *Concise finite-domain representations for PDDL planning tasks*,
+AIJ 2009).  Only those atoms, plus every goal atom, are numbered, in
+lexicographic (predicate, args) order; only those actions are kept, in
+enumeration order.  Static facts are initial facts, so they stay atoms true
+in every state.  Deleting an atom that is never true does nothing, so
+delete masks keep the atoms that can be true.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from operator import itemgetter
 
 from .pddl import DomainAst, ProblemAst
 from .strips import GroundAction, GroundAtom, GroundProblem, state_from_atoms
@@ -31,85 +39,177 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
         )
 
     objects = tuple(sorted(problem.objects))
-
-    atoms: list[GroundAtom] = []
-    index: dict[tuple[str, tuple[str, ...]], int] = {}
-    for pred, arity in sorted(domain.predicates):
-        if arity == 0:
-            index[(pred, ())] = len(atoms)
-            atoms.append(GroundAtom(len(atoms), pred, ()))
-            continue
-        for args in permutations(objects, arity):
-            index[(pred, args)] = len(atoms)
-            atoms.append(GroundAtom(len(atoms), pred, args))
+    arity = dict(domain.predicates)
+    atoms = _Interned(arity)
 
     fluent = {a.predicate for s in domain.schemas for a in s.add + s.delete}
     static_facts: dict[str, set[tuple[str, ...]]] = {
-        p: set() for p, _ in domain.predicates if p not in fluent
+        p: set() for p in arity if p not in fluent
     }
-
+    known = set(objects)
     init_ids = []
     for ga in problem.init:
-        aid = _lookup(index, ga.predicate, ga.args, domain, "init")
-        init_ids.append(aid)
+        init_ids.append(_ground_atom(atoms, known, ga, "init"))
         if ga.predicate in static_facts:
             static_facts[ga.predicate].add(ga.args)
-    init = state_from_atoms(init_ids)
+    goal_pos, goal_neg = (
+        [_ground_atom(atoms, known, ga, "goal") for ga in part]
+        for part in (problem.goal_pos, problem.goal_neg)
+    )
+    if set(goal_pos) & set(goal_neg):
+        raise GroundingError("goal contains an atom both positively and negatively")
 
-    actions: list[GroundAction] = []
+    # (schema name, args, pre, add, delete) per binding, atoms as interned ids
+    bound: list[tuple[str, tuple[str, ...], list[int], list[int], list[int]]] = []
     for schema in sorted(domain.schemas, key=lambda s: s.name):
         position = {v: i for i, v in enumerate(schema.params)}
-        pre, add, delete = (
-            [(a.predicate, tuple(position[v] for v in a.args)) for a in part]
-            for part in (schema.pre, schema.add, schema.delete)
+        mentions = [
+            (a.predicate, tuple(position[v] for v in a.args))
+            for a in schema.pre + schema.add + schema.delete
+        ]
+        lookups = [(atoms.table[p], _key_getter(positions)) for p, positions in mentions]
+        n_pre, n_add = len(schema.pre), len(schema.add)
+        # only atoms of one predicate can coincide
+        may_clash = not {a.predicate for a in schema.add}.isdisjoint(
+            a.predicate for a in schema.delete
         )
         for args in _bindings(schema, position, objects, static_facts):
-            pre_mask = _mask(pre, args, index)
-            add_mask = _mask(add, args, index)
-            del_mask = _mask(delete, args, index)
-            if pre_mask is None or add_mask is None or del_mask is None:
-                continue  # mentions a repeated-argument atom: statically impossible
-            if add_mask & del_mask:
+            ids = [table.get(key(args)) for table, key in lookups]
+            if None in ids:
+                ids = [
+                    atoms.add(p, tuple(args[i] for i in positions)) if aid is None else aid
+                    for aid, (p, positions) in zip(ids, mentions)
+                ]
+                if None in ids:
+                    continue  # mentions a repeated-argument atom: statically impossible
+            pre, add, delete = ids[:n_pre], ids[n_pre:n_pre + n_add], ids[n_pre + n_add:]
+            if may_clash and not set(add).isdisjoint(delete):
                 continue  # degenerate binding adding and deleting one atom
-            actions.append(
-                GroundAction(len(actions), schema.name, args, pre_mask, add_mask, del_mask)
-            )
+            bound.append((schema.name, args, pre, add, delete))
 
-    goal_pos = state_from_atoms(
-        _lookup(index, ga.predicate, ga.args, domain, "goal") for ga in problem.goal_pos
+    true, applicable = _relaxed_fixpoint(len(atoms.keys), init_ids, bound)
+    keys = atoms.keys
+    numbered = sorted(
+        {aid for aid, t in enumerate(true) if t}.union(goal_pos, goal_neg),
+        key=keys.__getitem__,
     )
-    goal_neg = state_from_atoms(
-        _lookup(index, ga.predicate, ga.args, domain, "goal") for ga in problem.goal_neg
-    )
-    if goal_pos & goal_neg:
-        raise GroundingError("goal contains an atom both positively and negatively")
+    number = dict(zip(numbered, range(len(numbered))))
+    # the mask bit of each interned atom that can be true, 0 for the others
+    bit = [1 << number[aid] if t else 0 for aid, t in enumerate(true)]
+
+    actions = []
+    for i in applicable:
+        name, args, pre, add, delete = bound[i]
+        actions.append(GroundAction(
+            len(actions), name, args, _mask(pre, bit), _mask(add, bit), _mask(delete, bit)
+        ))
 
     return GroundProblem(
         name=problem.name,
-        atoms=tuple(atoms),
+        atoms=tuple(GroundAtom(i, *keys[aid]) for i, aid in enumerate(numbered)),
         actions=tuple(actions),
-        init=init,
-        goal_pos=goal_pos,
-        goal_neg=goal_neg,
+        init=state_from_atoms(number[aid] for aid in init_ids),
+        goal_pos=state_from_atoms(number[aid] for aid in goal_pos),
+        goal_neg=state_from_atoms(number[aid] for aid in goal_neg),
         objects=objects,
+        predicates=arity,
     )
 
 
-def _lookup(index, predicate, args, domain: DomainAst, where: str) -> int:
-    aid = index.get((predicate, args))
-    if aid is None:
-        arity = domain.arity(predicate)
-        if arity is None:
-            raise GroundingError(f"{where} atom uses undeclared predicate '{predicate}'")
-        if arity != len(args):
-            raise GroundingError(
-                f"{where} atom {predicate}({','.join(args)}) has arity {len(args)}, "
-                f"declared {arity}"
-            )
+class _Interned:
+    """Atoms met so far, by interned id.  `table[predicate]` maps the key of
+    an atom's args (see `_key_getter`) to its id; `keys[id]` is (predicate,
+    args)."""
+
+    def __init__(self, arity: dict[str, int]):
+        self.arity = arity
+        self.table: dict[str, dict] = {p: {} for p in arity}
+        self.keys: list[tuple[str, tuple[str, ...]]] = []
+
+    def add(self, predicate: str, args: tuple[str, ...]) -> int | None:
+        """Id of predicate(args), interned on first sight; None when an
+        argument repeats, which no atom does."""
+        key = args[0] if self.arity[predicate] == 1 else args
+        aid = self.table[predicate].get(key)
+        if aid is None:
+            if len(set(args)) < len(args):
+                return None
+            aid = self.table[predicate][key] = len(self.keys)
+            self.keys.append((predicate, args))
+        return aid
+
+
+def _key_getter(positions: tuple[int, ...]):
+    """args -> the key of the atom over these parameter positions: the one
+    object for a unary atom, else the tuple of objects."""
+    if not positions:
+        return lambda args: ()
+    return itemgetter(*positions)
+
+
+def _ground_atom(atoms: _Interned, objects: set[str], ga, where: str) -> int:
+    arity = atoms.arity.get(ga.predicate)
+    if arity is None:
+        raise GroundingError(f"{where} atom uses undeclared predicate '{ga.predicate}'")
+    if arity != len(ga.args):
         raise GroundingError(
-            f"{where} atom {predicate}({','.join(args)}) is not in the ground universe"
+            f"{where} atom {ga.predicate}({','.join(ga.args)}) has arity {len(ga.args)}, "
+            f"declared {arity}"
+        )
+    aid = atoms.add(ga.predicate, ga.args) if objects.issuperset(ga.args) else None
+    if aid is None:
+        raise GroundingError(
+            f"{where} atom {ga.predicate}({','.join(ga.args)}) names an unknown object "
+            "or repeats an argument"
         )
     return aid
+
+
+def _mask(ids: list[int], bit: list[int]) -> int:
+    mask = 0
+    for aid in ids:
+        mask |= bit[aid]
+    return mask
+
+
+def _relaxed_fixpoint(n_atoms, init_ids, bound) -> tuple[bytearray, list[int]]:
+    """Atoms true in some state of the delete relaxation from `init_ids`, as
+    flags by interned id, and the indices into `bound` of the bindings
+    applicable there, ascending.  Each binding counts its preconditions not
+    yet true; a precondition listed twice is counted, and met, twice."""
+    true = bytearray(n_atoms)
+    waiting: list[list[int]] = [[] for _ in range(n_atoms)]
+    missing = []
+    for i, entry in enumerate(bound):
+        pre = entry[2]
+        missing.append(len(pre))
+        for aid in pre:
+            waiting[aid].append(i)
+    ready = [i for i, m in enumerate(missing) if not m]
+    frontier = []
+    for aid in init_ids:
+        if not true[aid]:
+            true[aid] = 1
+            frontier.append(aid)
+    applicable = []
+    while True:
+        for i in ready:
+            applicable.append(i)
+            for aid in bound[i][3]:
+                if not true[aid]:
+                    true[aid] = 1
+                    frontier.append(aid)
+        if not frontier:
+            break
+        ready = []
+        for aid in frontier:
+            for i in waiting[aid]:
+                missing[i] -= 1
+                if not missing[i]:
+                    ready.append(i)
+        frontier = []
+    applicable.sort()
+    return true, applicable
 
 
 def _bindings(schema, position, objects, static_facts):
@@ -164,15 +264,3 @@ def _bindings(schema, position, objects, static_facts):
             yield from extend(i + 1)
 
     yield from extend(0)
-
-
-def _mask(compiled, args, index) -> int | None:
-    """OR of the atoms (predicate, parameter positions) under `args`, or None
-    when one of them is outside the universe."""
-    mask = 0
-    for predicate, positions in compiled:
-        aid = index.get((predicate, tuple(args[p] for p in positions)))
-        if aid is None:
-            return None
-        mask |= 1 << aid
-    return mask

@@ -8,11 +8,11 @@ tuples touching a flipped atom are examined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
-from .strips import GroundProblem, State, atoms_of, state_from_atoms
+from .strips import GroundAtom, GroundProblem, State, atoms_of, state_from_atoms
 
 
 class TupleSetError(ValueError):
@@ -21,9 +21,16 @@ class TupleSetError(ValueError):
 
 @dataclass(frozen=True)
 class TupleSet:
-    """Explicit duplicate-free set of atom tuples, stored as sorted id tuples."""
+    """Explicit duplicate-free set of atom tuples, stored as sorted id tuples.
+
+    `never_true` holds the atoms of a parsed set that are well formed but not
+    numbered, since they are never true: they take the ids n_atoms,
+    n_atoms + 1, ... of the problem parsed against, bits no state holds, so
+    a tuple holding one is never true.
+    """
 
     tuples: tuple[tuple[int, ...], ...]
+    never_true: tuple[GroundAtom, ...] = ()
 
     @staticmethod
     def from_iterable(tuples) -> "TupleSet":
@@ -40,6 +47,15 @@ class TupleSet:
 
     def masks(self) -> list[State]:
         return [state_from_atoms(t) for t in self.tuples]
+
+    def state_str(self, problem: GroundProblem, mask: State) -> str:
+        """`problem.state_str`, naming the never-true atoms too."""
+        return "{" + ", ".join(self.atom_str(problem, i) for i in atoms_of(mask)) + "}"
+
+    def atom_str(self, problem: GroundProblem, atom_id: int) -> str:
+        """The name of atom `atom_id`, numbered or never true."""
+        n = problem.n_atoms
+        return str(problem.atoms[atom_id] if atom_id < n else self.never_true[atom_id - n])
 
 
 @dataclass(frozen=True)
@@ -59,8 +75,10 @@ class TupleUniverse:
 
 
 def all_tuples_up_to(problem: GroundProblem, k: int) -> TupleUniverse:
-    """Every tuple of at most k atoms; no tuple is larger than the atom
-    count, so a larger k gives the universe of every tuple."""
+    """Every tuple of at most k numbered atoms; no tuple is larger than the
+    atom count, so a larger k gives the universe of every tuple.  A tuple
+    holding an atom that is never true, and so not numbered, is never true:
+    leaving it out changes no novelty verdict."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return TupleUniverse(problem.n_atoms, min(k, problem.n_atoms), problem.fluent_mask)
@@ -184,31 +202,35 @@ class NoveltyTable:
 
 def parse_tuple_set(text: str, problem: GroundProblem) -> TupleSet:
     tuples = []
+    never_true: dict[tuple[str, tuple[str, ...]], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         ids = []
         for part in line.split("&"):
-            ids.append(_parse_atom_ref(part.strip(), problem, lineno))
+            ids.append(_parse_atom_ref(part.strip(), problem, lineno, never_true))
         tuples.append(tuple(sorted(set(ids))))
-    return TupleSet.from_iterable(tuples)
+    never = tuple(GroundAtom(i, *key) for key, i in never_true.items())
+    return replace(TupleSet.from_iterable(tuples), never_true=never)
 
 
-def _parse_atom_ref(text: str, problem: GroundProblem, lineno: int) -> int:
+def _parse_atom_ref(text: str, problem: GroundProblem, lineno: int, never_true: dict) -> int:
     if not text.endswith(")") or "(" not in text:
         raise TupleSetError(f"line {lineno}: malformed atom '{text}'")
     pred, argtext = text[:-1].split("(", 1)
     pred = pred.strip().lower()
     args = tuple(a.strip().lower() for a in argtext.split(",") if a.strip())
     aid = problem.atom_id(pred, args)
-    if aid is None:
+    if aid is not None:
+        return aid
+    if not problem.is_well_formed(pred, args):
         raise TupleSetError(f"line {lineno}: unknown atom '{text}'")
-    return aid
+    return never_true.setdefault((pred, args), problem.n_atoms + len(never_true))
 
 
 def format_tuple_set(tuples: TupleSet, problem: GroundProblem) -> str:
     lines = []
     for t in tuples.tuples:
-        lines.append(" & ".join(str(problem.atoms[i]) for i in t))
+        lines.append(" & ".join(tuples.atom_str(problem, i) for i in t))
     return "\n".join(lines) + "\n"

@@ -238,7 +238,7 @@ def is_admissible(space: StateSpace, tuples: TupleSet) -> AdmissibleReport:
     _require_strips(space.problem, "admissibility")
     for mask in tuples.masks():
         if tuple_cost(space, mask) is None:
-            atoms = space.problem.state_str(mask)
+            atoms = tuples.state_str(space.problem, mask)
             return AdmissibleReport(False, mask, f"unreachable tuple {atoms}")
 
     direct = _admissible_direct(space, tuples)
@@ -380,7 +380,9 @@ def _smallest_width(
     goal_test: GoalTest | None = None,
 ) -> int | None:
     """Smallest k <= k_cap whose IW(k) returns a plan of length `optimal`;
-    IW(k) above the atom count is IW(n), so no larger k is tried."""
+    IW(k) above the atom count n is IW(n), so no larger k is tried.  The
+    count is that of the numbered atoms: a tuple holding an atom that is
+    never true is never true, so it makes no state novel."""
     _require_nonnegative("k_cap", k_cap)
     for k in range(min(k_cap, problem.n_atoms) + 1):
         result = iw_k(problem, k, goal_test, start=start)

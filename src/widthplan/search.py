@@ -173,8 +173,10 @@ def iw(
     max_nodes: int | None = None,
 ) -> SearchResult:
     """Run iw_k for k = 0, 1, ..., max_k until a plan is found; max_k
-    defaults to, and is capped at, the atom count, above which IW(k) is
-    IW(n).
+    defaults to, and is capped at, the atom count n, above which IW(k) is
+    IW(n).  Grounding numbers only the atoms that can be true (and the goal
+    atoms); a tuple holding any other atom is never true, so counting those
+    would only repeat IW(n).
 
     Stops early when a failed iteration pruned no state (duplicates are
     dropped when generated): it searched the whole reachable space, so no

@@ -74,7 +74,9 @@ def siw_r(
     cap (`reason` starts with "cycle").
     """
     bound = bind(sketch, phi)
-    # generous: cyclic rule sets are caught by the revisit check
+    # generous: cyclic rule sets are caught by the revisit check.  Segment
+    # starts are distinct states, and they differ only in the numbered atoms
+    # (those that can be true), so only those count
     max_segments = max(problem.n_atoms, 2) ** (len(sketch.numeric_indices()) + 1)
 
     totals = SearchStats()

@@ -65,6 +65,7 @@ class GroundProblem:
     goal_pos: State
     goal_neg: State
     objects: tuple[str, ...] = ()
+    predicates: dict[str, int] = field(default_factory=dict)  # declared arities
     atom_index: dict[tuple[str, tuple[str, ...]], int] = field(init=False)
     atoms_by_predicate: dict[str, list[int]] = field(init=False)
     # atoms some action adds or deletes; every other atom keeps its initial
@@ -89,7 +90,15 @@ class GroundProblem:
         return len(self.atoms)
 
     def atom_id(self, predicate: str, args: tuple[str, ...]) -> int | None:
+        """Id of a numbered atom: one that can be true, or a goal atom."""
         return self.atom_index.get((predicate, args))
+
+    def is_well_formed(self, predicate: str, args: tuple[str, ...]) -> bool:
+        """Whether predicate(args) is an atom of the problem: a declared
+        predicate at its arity over distinct objects.  It is numbered when
+        it can be true or is a goal atom."""
+        return (self.predicates.get(predicate) == len(args) == len(set(args))
+                and set(args).issubset(self.objects))
 
     def state_str(self, state: State) -> str:
         return "{" + ", ".join(str(self.atoms[i]) for i in atoms_of(state)) + "}"

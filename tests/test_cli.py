@@ -56,8 +56,18 @@ def test_solve_iwk_optimal_on_clear_goal(gen_dir, capsys):
     assert stats["plan_length"] == 5
     assert set(stats) == {
         "algorithm", "k", "expanded", "generated", "plan_length",
-        "segments", "wall_ms", "verdict",
+        "segments", "wall_ms", "verdict", "atoms", "actions",
     }
+    # blocks_clear(3) has no atom that is never true
+    assert (stats["atoms"], stats["actions"]) == (25, 32)
+
+
+def test_solve_json_reports_the_numbered_model(gen_dir, capsys):
+    # grid 4x1 numbers its 4 pos atoms and 6 adjacent facts, not all 12
+    # ordered pairs of cells (16 atoms), and keeps its 6 moves
+    assert _solve(gen_dir, "grid", "--alg", "bfs", "--json") == 0
+    stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert (stats["atoms"], stats["actions"], stats["plan_length"]) == (10, 6, 3)
 
 
 def test_solve_iwt_with_tuples(gen_dir, capsys):
@@ -164,6 +174,22 @@ def test_oracle_checks(gen_dir, capsys):
     assert main(["oracle", "envelope", *base, "--tuples", str(d / "walk.tuples")]) == 0
     assert main(["oracle", "lower-bound", *base, "--k", "0"]) == 0
     assert main(["oracle", "lower-bound", *base, "--k", "1"]) == 1
+
+
+def test_oracle_admissible_names_a_never_true_atom(gen_dir, tmp_path, capsys):
+    # adjacent(c1,c3) is well formed but never true, so its tuple is
+    # unreachable; adjacent(c1,c1) repeats an argument and is an input error
+    d = gen_dir["grid"]
+    base = ["--domain", str(d / "domain.pddl"), "--problem", str(d / "problem.pddl")]
+    tuples = tmp_path / "t.tuples"
+    tuples.write_text("pos(c1)\nadjacent(c1,c3)\n")
+    assert main(["oracle", "admissible", *base, "--tuples", str(tuples)]) == 1
+    assert capsys.readouterr().out == (
+        "verdict=false reason='unreachable tuple {adjacent(c1,c3)}' witness={adjacent(c1,c3)}\n"
+    )
+    tuples.write_text("adjacent(c1,c1)\n")
+    assert main(["oracle", "admissible", *base, "--tuples", str(tuples)]) == 2
+    assert "unknown atom 'adjacent(c1,c1)'" in capsys.readouterr().err
 
 
 _UNSOLVABLE_DOMAIN = """(define (domain oneway)

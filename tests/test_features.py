@@ -260,6 +260,16 @@ def test_missing_repeated_and_groundless_objects():
     assert phi.valuation(g, g.init) == (3, 1, 2)
 
 
+def test_missing_counts_objects_with_no_numbered_atom():
+    # ppos(c2,c1) and ppos(p1,p2) are well formed and never true, so they are
+    # not numbered; like an unknown object, each counts as missing
+    g, _ = _delivery([3, 1])
+    assert g.atom_id("ppos", ("c2", "c1")) is None
+    phi = parse_features("feature m num = missing(ppos(_, c1), p1, c2, zz)\n"
+                         "feature n num = missing(ppos(p1, _), p2, c1)\n")
+    assert phi.valuation(g, g.init) == (3, 2)
+
+
 def test_bool_feature_out_of_range():
     bundle = domains.marbles([1, 1])
     g = ground_bundle(bundle)
@@ -330,8 +340,10 @@ def test_distance_over_fluent_adjacency():
 
 def test_hanoi_builtins_reject_a_cycle_of_on_atoms():
     bundle = domains.hanoi(1)
-    g = ground_bundle(bundle)
+    # on(peg1,d1) is never true, so the cycle with on(d1,peg1) is written
+    # into the initial state, where it is numbered
+    problem = bundle.problem_text.replace("(on d1 peg1)", "(on d1 peg1) (on peg1 d1)")
+    g = ground(parse_domain(bundle.domain_text), parse_problem(problem))
     phi = parse_features(bundle.features_text)
-    cycle = g.init | 1 << g.atom_id("on", ("peg1", "d1"))  # on(d1,peg1) holds initially
     with pytest.raises(FeatureError, match="cycle"):
-        phi.valuation(g, cycle)
+        phi.valuation(g, g.init)

@@ -17,7 +17,7 @@ def test_grid_1x3_counts():
     g = ground_bundle(domains.grid(3, 1, 1, 3))
     preds = [a.predicate for a in g.atoms]
     assert preds.count("pos") == 3
-    assert preds.count("adjacent") == 6  # all ordered non-reflexive pairs
+    assert preds.count("adjacent") == 4  # the initial facts: adjacent cells only
     assert len(g.actions) == 4  # two per adjacent pair after static pruning
 
 
@@ -122,14 +122,15 @@ def test_ground_plan_matches_schema_simulation(bundle):
     assert is_goal(g, s)
 
 
-# Parity with the product grounder: the static join must give the same
-# GroundProblem, bit for bit, as trying every object tuple.
+# Parity with the product grounder: the join plus the relaxed fixpoint must
+# give, by name, the product grounder's model restricted to what can be true.
 
 
 def _ground_by_product(domain, problem):
-    """Reference grounder: every object tuple of each schema, dropped when it
-    mentions an atom outside the universe, adds and deletes one atom, or has
-    a static precondition false in init."""
+    """Reference grounder: every injective atom tuple as an atom, and every
+    object tuple of each schema as an action, dropped when it mentions an
+    atom outside the universe, adds and deletes one atom, or has a static
+    precondition false in init."""
     objects = tuple(sorted(problem.objects))
     atoms, index = [], {}
     for pred, arity in sorted(domain.predicates):
@@ -177,15 +178,68 @@ def _ground_by_product(domain, problem):
     )
 
 
-def assert_same_grounding(domain_text, problem_text):
+def _relaxed_reach(g):
+    """Atoms true in the delete relaxation of `g`, by rounds over all actions."""
+    reach = g.init
+    while True:
+        grown = reach
+        for act in g.actions:
+            if act.pre & grown == act.pre:
+                grown |= act.add
+        if grown == reach:
+            return reach
+        reach = grown
+
+
+def _names(g, mask):
+    return {str(g.atoms[i]) for i in atoms_of(mask)}
+
+
+def _reachable_states(g, limit=20_000):
+    seen, frontier = {g.init}, [g.init]
+    while frontier:
+        s = frontier.pop()
+        for act in g.actions:
+            if act.pre & s == act.pre:
+                t = (s & ~act.delete) | act.add
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+        assert len(seen) <= limit, "state space too large to enumerate"
+    return seen
+
+
+def assert_same_grounding(domain_text, problem_text, enumerate_states=False):
     domain, problem = parse_domain(domain_text), parse_problem(problem_text)
     g, ref = ground(domain, problem), _ground_by_product(domain, problem)
-    assert g.atoms == ref.atoms
-    assert g.actions == ref.actions
-    assert (g.init, g.goal_pos, g.goal_neg, g.objects) == (
-        ref.init, ref.goal_pos, ref.goal_neg, ref.objects
-    )
-    assert g == ref
+    reach = _relaxed_reach(ref)
+    # atoms: the relaxed-reachable ones plus the goal atoms, in the product's order
+    numbered = reach | ref.goal_pos | ref.goal_neg
+    assert [(a.predicate, a.args) for a in g.atoms] == [
+        (ref.atoms[i].predicate, ref.atoms[i].args) for i in atoms_of(numbered)
+    ]
+    assert [a.atom_id for a in g.atoms] == list(range(g.n_atoms))
+    # actions: the relaxed-applicable ones, in the product's order, with the
+    # same atoms by name; a delete of a never-true atom is dropped
+    kept = [a for a in ref.actions if a.pre & reach == a.pre]
+    assert [(a.name, a.args) for a in g.actions] == [(a.name, a.args) for a in kept]
+    for act, want in zip(g.actions, kept):
+        assert _names(g, act.pre) == _names(ref, want.pre)
+        assert _names(g, act.add) == _names(ref, want.add)
+        assert _names(g, act.delete) == _names(ref, want.delete & reach)
+    assert [a.action_id for a in g.actions] == list(range(len(g.actions)))
+    # every dropped product action is never relaxed-applicable
+    names = {(a.name, a.args) for a in g.actions}
+    for act in ref.actions:
+        if (act.name, act.args) not in names:
+            assert act.pre & reach != act.pre, str(act)
+    for part in ("init", "goal_pos", "goal_neg"):
+        assert _names(g, getattr(g, part)) == _names(ref, getattr(ref, part))
+    assert g.objects == ref.objects
+    if enumerate_states:
+        # no atom left unnumbered is true in any reachable state
+        dropped = state_from_atoms(range(ref.n_atoms)) & ~numbered
+        assert all(not s & dropped for s in _reachable_states(ref))
 
 
 @pytest.mark.parametrize(
@@ -204,7 +258,7 @@ def assert_same_grounding(domain_text, problem_text):
 )
 def test_join_matches_product_on_every_family(family, params):
     bundle = domains.generate(family, params)
-    assert_same_grounding(bundle.domain_text, bundle.problem_text)
+    assert_same_grounding(bundle.domain_text, bundle.problem_text, enumerate_states=True)
 
 
 _PROBLEM = "(define (problem i) (:domain t) (:objects {}) (:init {}) (:goal (and)))"

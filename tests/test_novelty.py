@@ -206,5 +206,21 @@ def test_tuple_set_two_atom_line(qclear2):
 
 def test_tuple_set_unknown_atom(qclear2):
     g, _ = qclear2
-    with pytest.raises(TupleSetError, match="unknown atom"):
-        parse_tuple_set("hold(nosuch)", g)
+    for text in ("hold(nosuch)", "nosuch(b1)", "hold(b1,b2)", "on(b1,b1)"):
+        with pytest.raises(TupleSetError, match="unknown atom"):
+            parse_tuple_set(text, g)
+
+
+def test_never_true_atom_makes_its_tuple_never_novel():
+    # adjacent(c1,c3) is well formed but never true: it gets an id no state
+    # holds, and is printed by name
+    g = ground_bundle(domains.grid(3, 1, 1, 3))
+    assert g.atom_id("adjacent", ("c1", "c3")) is None
+    ts = parse_tuple_set("adjacent(c1,c3) & pos(c1)\npos(c1)\n", g)
+    pos = g.atom_id("pos", ("c1",))
+    assert ts.tuples == ((pos,), (pos, g.n_atoms))
+    assert [str(a) for a in ts.never_true] == ["adjacent(c1,c3)"]
+    assert format_tuple_set(ts, g) == "pos(c1)\npos(c1) & adjacent(c1,c3)\n"
+    assert parse_tuple_set(format_tuple_set(ts, g), g) == ts
+    table = NoveltyTable(TupleSet.from_iterable([ts.tuples[1]]))
+    assert not any(table.register(s) for s in (g.init, (1 << g.n_atoms) - 1))
