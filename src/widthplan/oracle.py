@@ -16,7 +16,7 @@ from .novelty import NoveltyTable, TupleSet, all_tuples_up_to
 from .search import GoalTest, bfs_optimal, iw_k
 from .siw import bind
 from .sketches import Sketch, pair_satisfies, strongly_connected_components
-from .strips import GroundProblem, State, applicable_actions, is_goal
+from .strips import GroundProblem, State, applicability_tables, applicable_actions
 
 
 class OracleError(ValueError):
@@ -99,9 +99,20 @@ class StateSpace:
 
 
 def enumerate_space(problem: GroundProblem, cap: int = DEFAULT_CAP) -> StateSpace:
-    """Breadth-first closure from the initial state."""
+    """Breadth-first closure from the initial state; raises `OracleError`
+    once it would hold more than `cap` states.
+
+    Applicability is read from byte tables compiled once per call
+    (`strips.applicability_tables`): the AND of a state's entries is the
+    mask of its applicable actions, whose set bits, low to high, are the
+    row's ascending action ids.
+    """
+    if cap < 1:
+        raise OracleError(f"cap must be >= 1, got {cap}")
+    compiled = applicability_tables(problem)
+    n_bytes, tables, all_actions = compiled.n_bytes, compiled.tables, compiled.all_actions
+    effects = [(~act.delete, act.add) for act in problem.actions]
     root = problem.init
-    actions = problem.actions
     states = [root]  # also the FIFO: states are appended in dequeue order
     index = {root: 0}
     cost = array("i", [0])
@@ -113,9 +124,17 @@ def enumerate_space(problem: GroundProblem, cap: int = DEFAULT_CAP) -> StateSpac
     while i < n:
         s = states[i]
         c = cost[i] + 1
-        for aid in applicable_actions(problem, s):
-            act = actions[aid]
-            succ = (s & ~act.delete) | act.add
+        # ApplicabilityTables.applicable_mask, inlined: a method call per
+        # state made the whole loop about a third slower
+        m = all_actions
+        bs = s.to_bytes(n_bytes, "little")
+        for b, table in tables:
+            m &= table[bs[b]]
+        while m:
+            low = m & -m
+            m ^= low
+            keep, add = effects[low.bit_length() - 1]
+            succ = s & keep | add
             j = lookup(succ)
             if j is None:
                 if n >= cap:
@@ -127,7 +146,8 @@ def enumerate_space(problem: GroundProblem, cap: int = DEFAULT_CAP) -> StateSpac
             push(j)
         offsets.append(len(targets))
         i += 1
-    goal_flags = bytearray(is_goal(problem, s) for s in states)
+    pos, neg = problem.goal_pos, problem.goal_neg
+    goal_flags = bytearray(s & pos == pos and not s & neg for s in states)
     first_goal = goal_flags.find(1)  # costs do not decrease along `states`
     problem_cost = cost[first_goal] if first_goal >= 0 else None
     return StateSpace(problem, states, index, cost, goal_flags, problem_cost, offsets, targets)

@@ -144,6 +144,68 @@ def applicable_actions(problem: GroundProblem, s: State) -> list[int]:
     return out
 
 
+@dataclass(frozen=True)
+class ApplicabilityTables:
+    """Precondition tests compiled into one 256-entry table per byte of the
+    state that some precondition reads.
+
+    Entry v of the table of byte b is the bit mask of the actions whose
+    precondition atoms in byte b are a subset of v; an action that reads
+    nothing in byte b is in every entry.  So the AND of the entries that the
+    bytes of a state select is exactly the mask of the actions applicable
+    in it, static atoms included.
+    """
+
+    n_bytes: int  # length of s.to_bytes(n_bytes, "little") for any state s
+    tables: tuple[tuple[int, list[int]], ...]  # (byte position, table), ascending
+    all_actions: int  # the mask when no byte is read
+
+    def applicable_mask(self, s: State) -> int:
+        """Bit mask of the action ids applicable in `s`."""
+        m = self.all_actions
+        bs = s.to_bytes(self.n_bytes, "little")
+        for b, table in self.tables:
+            m &= table[bs[b]]
+        return m
+
+
+def applicability_tables(problem: GroundProblem) -> ApplicabilityTables:
+    """Compile the precondition test of every action into byte tables.
+
+    The oracle's enumeration builds them once per call; `GroundProblem`
+    does not, and the searches keep the watch index of `applicable_actions`.
+    A search visits few states per problem, so the build would not pay
+    off: SIW_R with sketch r5 on delivery(6,6,[3,8,20,30,12],1,5) searched
+    in 0.012 s with the tables against 0.011 s with the watch index, and
+    building the tables took 8 ms.  Memory is about
+    256 x len(tables) x (actions / 8) bytes.
+    """
+    actions = problem.actions
+    all_actions = (1 << len(actions)) - 1
+    reads = 0
+    for act in actions:
+        reads |= act.pre
+    tables = []
+    for b in range((reads.bit_length() + 7) // 8):
+        bits = (reads >> 8 * b) & 0xFF
+        if not bits:
+            continue
+        # base[p]: the actions reading exactly p in this byte; every p is a
+        # subset of `bits`, and the actions reading nothing sit at p = 0
+        base = [0] * 256
+        for act in actions:
+            base[(act.pre >> 8 * b) & 0xFF] |= 1 << act.action_id
+        # superset closure over the read bits: base[v] gains base[p] for
+        # every p below v
+        for bit in (1 << i for i in range(8)):
+            if bits & bit:
+                for v in range(256):
+                    if v & bit:
+                        base[v] |= base[v ^ bit]
+        tables.append((b, [base[v & bits] for v in range(256)]))
+    return ApplicabilityTables((problem.n_atoms + 7) // 8, tuple(tables), all_actions)
+
+
 def successors(problem: GroundProblem, s: State) -> list[tuple[int, State]]:
     """(action id, successor state) pairs of the actions applicable in `s`,
     in ascending action-id order."""

@@ -30,6 +30,18 @@ def empty_root():
     return ground(parse_domain(EMPTY_ROOT_DOMAIN), parse_problem(EMPTY_ROOT_PROBLEM))
 
 
+# No action survives grounding: `a` needs q, which nothing makes true, so the
+# state space is the initial state alone and the goal p is unreachable.
+NO_ACTION_DOMAIN = """(define (domain no-action) (:predicates (p) (q))
+  (:action a :parameters () :precondition (and (q)) :effect (and (p))))"""
+NO_ACTION_PROBLEM = "(define (problem n) (:domain no-action) (:init) (:goal (and (p))))"
+
+
+@pytest.fixture(scope="session")
+def no_action():
+    return ground(parse_domain(NO_ACTION_DOMAIN), parse_problem(NO_ACTION_PROBLEM))
+
+
 @pytest.fixture(scope="session")
 def qclear2():
     bundle = domains.blocks_clear(2)

@@ -11,7 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from widthplan.cli import main
-from tests.conftest import EMPTY_ROOT_DOMAIN, EMPTY_ROOT_PROBLEM
+from tests.conftest import (
+    EMPTY_ROOT_DOMAIN, EMPTY_ROOT_PROBLEM, NO_ACTION_DOMAIN, NO_ACTION_PROBLEM,
+)
 from tests.test_grounding import assert_same_grounding
 
 
@@ -277,6 +279,22 @@ def test_negative_width_or_budget_exit_two(gen_dir, capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == message + "\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_oracle_cap_below_one_exits_two(tmp_path, capsys, cap):
+    # refused before enumerating, also where the space is the initial state
+    # alone
+    (tmp_path / "domain.pddl").write_text(NO_ACTION_DOMAIN)
+    (tmp_path / "problem.pddl").write_text(NO_ACTION_PROBLEM)
+    base = ["--domain", str(tmp_path / "domain.pddl"), "--problem", str(tmp_path / "problem.pddl")]
+    assert main(["oracle", "lower-bound", *base, "--k", "0", "--cap", "1"]) == 2
+    assert capsys.readouterr().err == "error: width lower bound needs a solvable instance\n"
+    for check in (["width"], ["lower-bound", "--k", "0"]):
+        code = main(["oracle", *check, *base, "--cap", cap])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: cap must be >= 1, got {cap}\n"
 
 
 def test_oracle_sketch_checks(gen_dir, capsys):

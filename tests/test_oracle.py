@@ -2,18 +2,23 @@
 
 import random
 import zlib
+from array import array
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthplan import (
     applicable_actions, apply, atoms_of, bfs_optimal, domains, ground, iw_t,
-    parse_domain, parse_problem, replay,
+    is_goal, parse_domain, parse_problem, replay,
 )
+from widthplan.domains import DomainError
 from widthplan.features import parse_features
 from widthplan.novelty import TupleSet, parse_tuple_set
 from widthplan.oracle import (
     OracleError,
+    StateSpace,
     _opt_membership,
     enumerate_space,
     effective_width,
@@ -54,6 +59,15 @@ def test_enumerate_cap():
     g = ground_bundle(domains.blocks_on(2, 2))
     with pytest.raises(OracleError, match="cap"):
         enumerate_space(g, cap=10)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_enumerate_rejects_cap_below_one(no_action, cap):
+    # a cap below one is refused before the initial state is numbered, even
+    # where no action could ever add a second state
+    assert no_action.actions == () and len(enumerate_space(no_action, cap=1)) == 1
+    with pytest.raises(OracleError, match=f"^cap must be >= 1, got {cap}$"):
+        enumerate_space(no_action, cap=cap)
 
 
 def test_goal_distance_backward_map():
@@ -354,6 +368,110 @@ GRAPH_INSTANCES = [
 def graph_space(request):
     g = ground_bundle(request.param[1]())
     return g, enumerate_space(g)
+
+
+def _enumerate_reference(problem, cap):
+    """The enumeration loop as it was before the applicability tables: the
+    sorted `applicable_actions` per state and one `is_goal` call per state."""
+    root = problem.init
+    states, index = [root], {root: 0}
+    cost, offsets, targets = array("i", [0]), array("i", [0]), array("i")
+    i = 0
+    while i < len(states):
+        s = states[i]
+        for aid in applicable_actions(problem, s):
+            act = problem.actions[aid]
+            succ = (s & ~act.delete) | act.add
+            j = index.get(succ)
+            if j is None:
+                if len(states) >= cap:
+                    raise OracleError(f"state space exceeds cap {cap}")
+                j = index[succ] = len(states)
+                states.append(succ)
+                cost.append(cost[i] + 1)
+            targets.append(j)
+        offsets.append(len(targets))
+        i += 1
+    goal_flags = bytearray(is_goal(problem, s) for s in states)
+    first_goal = goal_flags.find(1)
+    problem_cost = cost[first_goal] if first_goal >= 0 else None
+    return StateSpace(problem, states, index, cost, goal_flags, problem_cost, offsets, targets)
+
+
+def _assert_same_space(space, reference):
+    assert space.problem is reference.problem
+    assert space.states == reference.states
+    assert list(space.index.items()) == list(reference.index.items())
+    for name in ("cost", "offsets", "targets"):
+        got, want = getattr(space, name), getattr(reference, name)
+        assert got.typecode == want.typecode and got == want, name
+    assert type(space.goal_flags) is bytearray and space.goal_flags == reference.goal_flags
+    assert space.problem_cost == reference.problem_cost
+
+
+def test_enumeration_matches_reference_loop(graph_space):
+    g, space = graph_space
+    _assert_same_space(space, _enumerate_reference(g, len(space)))
+
+
+@st.composite
+def _small_bundles(draw):
+    """Small bundles of every generated family; some parameters are
+    invalid, which `generate` rejects."""
+    family = draw(st.sampled_from(
+        ["blocks", "blocks-clear", "blocks-on", "delivery", "grid", "grid2", "hanoi", "marbles"]))
+    width, height = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    cell = st.integers(1, max(1, width * height)).map(str)
+    if family == "blocks-clear":
+        params = {"l": draw(st.integers(1, 3).map(str))}
+    elif family == "blocks-on":
+        params = {"l": draw(st.integers(0, 2).map(str)), "m": draw(st.integers(0, 2).map(str))}
+    elif family == "blocks":
+        towers = draw(st.sampled_from(["a.b;c", "a;b.c", "a.b.c", "a;b"]))
+        goal = draw(st.sampled_from(["on:a:c", "clear:b", "on:b:a"]))
+        params = {"towers": towers, "goal": goal}
+    elif family == "grid":
+        params = {"width": str(width), "height": str(height),
+                  "start": draw(cell), "goal": draw(cell)}
+    elif family == "grid2":
+        pair = st.tuples(st.integers(1, max(1, width)), st.integers(1, height)).map(
+            lambda p: f"{p[0]},{p[1]}")
+        params = {"width": str(width), "height": str(height),
+                  "start": draw(pair), "goal": draw(pair)}
+    elif family == "delivery":
+        packages = draw(st.lists(cell, max_size=2))
+        params = {"width": str(width), "height": str(height), "target": draw(cell),
+                  "start": draw(cell), "packages": ",".join(packages)}
+    elif family == "marbles":
+        params = {"counts": ",".join(map(str, draw(st.lists(st.integers(0, 2), min_size=1, max_size=2))))}
+    else:
+        params = {"n": draw(st.integers(1, 3).map(str))}
+    try:
+        return domains.generate(family, params)
+    except DomainError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle=_small_bundles(), data=st.data())
+def test_enumeration_matches_reference_on_generated_bundles(bundle, data):
+    if bundle is None:
+        return
+    g = ground_bundle(bundle)
+    space = enumerate_space(g)
+    _assert_same_space(space, _enumerate_reference(g, len(space)))
+    # a smaller cap raises at the same state count in both loops
+    cap = data.draw(st.integers(1, len(space)), label="cap")
+    outcomes = []
+    for enumerate_with in (enumerate_space, _enumerate_reference):
+        try:
+            outcomes.append(enumerate_with(g, cap))
+        except OracleError as e:
+            outcomes.append(str(e))
+    if cap == len(space):
+        _assert_same_space(*outcomes)
+    else:
+        assert outcomes == [f"state space exceeds cap {cap}"] * 2
 
 
 def test_rows_match_recomputed_successors(graph_space):

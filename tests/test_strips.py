@@ -17,8 +17,10 @@ from widthplan import (
     replay,
     state_from_atoms,
 )
-from widthplan.strips import successors
-from tests.conftest import ground_bundle
+from widthplan.strips import applicability_tables, successors
+from tests.conftest import (
+    EMPTY_ROOT_DOMAIN, EMPTY_ROOT_PROBLEM, NO_ACTION_DOMAIN, NO_ACTION_PROBLEM, ground_bundle,
+)
 
 
 def _blocks2():
@@ -162,3 +164,40 @@ def test_applicable_matches_precondition_scan(bundle):
     for s in states:
         expected = [a.action_id for a in g.actions if a.pre & s == a.pre]
         assert applicable_actions(g, s) == expected
+
+
+
+@pytest.mark.parametrize("load", [
+    lambda: ground_bundle(domains.grid(3, 3, 1, 9)),  # 33 atoms
+    lambda: ground_bundle(domains.hanoi(3)),  # 32 atoms, static ones read
+    lambda: ground_bundle(domains.delivery(2, 2, [2], target=4, start=1)),
+    lambda: ground_bundle(domains.marbles([2, 1])),  # 13 atoms
+    lambda: ground(parse_domain(EMPTY_ROOT_DOMAIN), parse_problem(EMPTY_ROOT_PROBLEM)),
+    lambda: ground(parse_domain(NO_ACTION_DOMAIN), parse_problem(NO_ACTION_PROBLEM)),
+], ids=["grid-3x3", "hanoi-3", "delivery-2x2", "marbles-2-1", "empty-precondition", "no-action"])
+def test_applicability_tables_match_precondition_scan(load):
+    # arbitrary states, static atoms true or false, against the plain definition
+    g = load()
+    tables = applicability_tables(g)
+    assert len(tables.tables) <= tables.n_bytes == (g.n_atoms + 7) // 8
+    rng = random.Random(7)
+    states = [0, g.init, state_from_atoms(range(g.n_atoms))] + [
+        state_from_atoms(rng.sample(range(g.n_atoms), rng.randint(0, g.n_atoms)))
+        for _ in range(300)
+    ]
+    for s in states:
+        expected = [a.action_id for a in g.actions if a.pre & s == a.pre]
+        assert atoms_of(tables.applicable_mask(s)) == expected == applicable_actions(g, s)
+
+
+def test_applicability_table_edge_cases(empty_root, no_action):
+    assert empty_root.n_atoms % 8 and empty_root.actions[0].pre == 0
+    tables = applicability_tables(empty_root)
+    # the action with the empty precondition is in every entry of every table
+    assert all(entry & 1 for _, table in tables.tables for entry in table)
+    assert tables.applicable_mask(0) == 1
+
+    assert no_action.actions == ()
+    tables = applicability_tables(no_action)
+    assert tables.tables == () and tables.all_actions == 0
+    assert tables.applicable_mask(no_action.init) == tables.applicable_mask(1) == 0
