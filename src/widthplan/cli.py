@@ -187,8 +187,10 @@ def _result_stats(alg, args, result: SearchResult | SerializedResult, segments):
 
 def _emit_stats(stats: dict, as_json: bool, problem):
     if as_json:
-        # the size of the ground model searched: numbered atoms, kept actions
-        stats = dict(stats, atoms=problem.n_atoms, actions=len(problem.actions))
+        # the size of the ground model searched: numbered atoms, kept actions,
+        # and the bindings the grounding join yielded
+        stats = dict(stats, atoms=problem.n_atoms, actions=len(problem.actions),
+                     bindings=problem.bindings)
         print(json.dumps(stats, sort_keys=True))
     else:
         for key in ("algorithm", "k", "expanded", "generated",

@@ -2,11 +2,18 @@
 
 Actions are enumerated in lexicographic (schema, args) order over the
 bindings that a join of the schema's static preconditions (those on a
-predicate never occurring in any effect) against the initial facts admits:
-a parameter ranges over the values some initial fact allows it, given the
-earlier parameters, and over all objects when no static precondition
-mentions it.  A binding is dropped when it mentions a repeated-argument
-atom or when it adds and deletes the same atom.
+predicate never occurring in any effect) against the initial facts admits,
+with every parameter inside its argument domain: a parameter ranges over
+the values of its domain that some initial fact allows it, given the earlier
+parameters, and over its whole domain when no static precondition mentions
+it.  A binding is dropped when it mentions a repeated-argument atom or when
+it adds and deletes the same atom.
+
+The argument domains come from a fixpoint over predicate positions, run
+before the join (see `_argument_domains`).  They bound the objects a
+parameter can take in any binding that the delete relaxation can apply, so
+the join yields only bindings the relaxed reachable problem may need, not
+every object tuple of a schema without static preconditions.
 
 No atom universe is built.  The join interns each atom a binding mentions,
 and one relaxed fixpoint from the initial facts, which ignores deletes,
@@ -59,9 +66,13 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
     if set(goal_pos) & set(goal_neg):
         raise GroundingError("goal contains an atom both positively and negatively")
 
+    domains = _argument_domains(domain.schemas, arity, problem.init, objects)
     # (schema name, args, pre, add, delete) per binding, atoms as interned ids
     bound: list[tuple[str, tuple[str, ...], list[int], list[int], list[int]]] = []
+    yielded = 0
     for schema in sorted(domain.schemas, key=lambda s: s.name):
+        if domains[schema.name] is None:
+            continue  # no binding of it can be relaxed-applicable
         position = {v: i for i, v in enumerate(schema.params)}
         mentions = [
             (a.predicate, tuple(position[v] for v in a.args))
@@ -73,7 +84,8 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
         may_clash = not {a.predicate for a in schema.add}.isdisjoint(
             a.predicate for a in schema.delete
         )
-        for args in _bindings(schema, position, objects, static_facts):
+        for args in _bindings(schema, position, domains[schema.name], static_facts):
+            yielded += 1
             ids = [table.get(key(args)) for table, key in lookups]
             if None in ids:
                 ids = [
@@ -113,6 +125,7 @@ def ground(domain: DomainAst, problem: ProblemAst) -> GroundProblem:
         goal_neg=state_from_atoms(number[aid] for aid in goal_neg),
         objects=objects,
         predicates=arity,
+        bindings=yielded,
     )
 
 
@@ -212,16 +225,93 @@ def _relaxed_fixpoint(n_atoms, init_ids, bound) -> tuple[bytearray, list[int]]:
     return true, applicable
 
 
-def _bindings(schema, position, objects, static_facts):
-    """Parameter tuples of `schema`, in lexicographic order, under which
-    every static precondition is an initial fact.
+def _argument_domains(schemas, arity, init, objects):
+    """The argument domain of every schema parameter: by schema name, one set
+    of objects per parameter, or None for a schema none of whose bindings
+    can be relaxed-applicable.
+
+    A least fixpoint over predicate positions.  Position k of predicate p
+    starts with the objects that initial facts put there.  A parameter's
+    domain is the intersection of the domains of the precondition positions
+    it fills, or all objects when it fills none.  A schema is live when every
+    parameter's domain is nonempty and every predicate of its preconditions
+    has an atom that can be true.  Each add-effect position of a live schema
+    gains the domain of the parameter that fills it, and the predicate of
+    each of its add effects gets an atom that can be true.
+
+    The domains are sound: by induction on the rounds of the relaxed
+    fixpoint, every atom that can be true has its predicate in `possible`
+    and each argument inside its position's domain.  Initial facts do by
+    the start.  A relaxed-applicable
+    binding has every precondition true, so each parameter's value lies in
+    every precondition position the parameter fills, hence in its domain,
+    and the schema is live; an atom it adds holds at each position the value
+    of the parameter filling it, which the position's domain has gained.  So
+    every relaxed-applicable binding has each parameter inside its domain,
+    and a join restricted to the domains loses no kept action and no
+    numbered atom: the ground model is the same.
+    """
+    rows: dict[str, list[tuple[str, ...]]] = {}
+    for ga in init:
+        rows.setdefault(ga.predicate, []).append(ga.args)
+    possible = set(rows)  # predicates with an atom that can be true
+    at = {p: [set() for _ in range(n)] for p, n in arity.items()}
+    for p, args in rows.items():
+        for target, column in zip(at[p], zip(*args)):
+            target.update(column)
+    everything = set(objects)
+    # per schema: the precondition position domains each parameter fills,
+    # the precondition predicates, and (predicate, [(position domain,
+    # parameter)]) per add effect
+    plans = []
+    for schema in schemas:
+        position = {v: i for i, v in enumerate(schema.params)}
+        fills: list[list[set[str]]] = [[] for _ in schema.params]
+        for atom in schema.pre:
+            for k, v in enumerate(atom.args):
+                fills[position[v]].append(at[atom.predicate][k])
+        adds = [
+            (a.predicate, [(at[a.predicate][k], position[v]) for k, v in enumerate(a.args)])
+            for a in schema.add
+        ]
+        plans.append((schema.name, fills, {a.predicate for a in schema.pre}, adds))
+
+    domains: dict[str, list[set[str]] | None] = {}
+    grown = True
+    while grown:
+        grown = False
+        for name, fills, needs, adds in plans:
+            doms = [set.intersection(*sets) if sets else everything for sets in fills]
+            if not (all(doms) and possible.issuperset(needs)):
+                domains[name] = None
+                continue
+            domains[name] = doms
+            for predicate, targets in adds:
+                if predicate not in possible:
+                    possible.add(predicate)
+                    grown = True
+                for target, i in targets:
+                    if not doms[i] <= target:
+                        target |= doms[i]
+                        grown = True
+    return domains
+
+
+def _bindings(schema, position, domains, static_facts):
+    """Parameter tuples of `schema`, in lexicographic order, with every
+    parameter inside its argument domain (`domains`, see
+    `_argument_domains`), under which every static precondition is an
+    initial fact.
 
     Backtracks over the parameters in declared order.  joins[i] holds one
     (earlier, options) pair per static precondition mentioning parameter i:
     `options` maps the values of that precondition's parameters before i
-    (positions `earlier`) to the sorted values i may take in some matching
-    initial fact.  At a precondition's last parameter this admits exactly
-    the bindings that make it an initial fact.
+    (positions `earlier`) to the sorted values of i's domain that i may take
+    in some matching initial fact.  At a precondition's last parameter this
+    admits exactly the bindings inside the domains that make it an initial
+    fact.  A parameter that no static precondition mentions ranges over its
+    whole domain.  `schema` is live, so a 0-ary static precondition is an
+    initial fact and needs no join.
     """
     n = len(schema.params)
     joins: list[list] = [[] for _ in range(n)]
@@ -232,10 +322,6 @@ def _bindings(schema, position, objects, static_facts):
         positions = [position[v] for v in atom.args]
         if len(set(positions)) < len(positions):
             return  # a repeated variable: no initial fact repeats an object
-        if not positions:
-            if () not in facts:
-                return  # 0-ary static precondition false in init
-            continue
         matches = [dict(zip(positions, fact)) for fact in facts]
         mentioned = sorted(positions)
         for rank, i in enumerate(mentioned):
@@ -243,9 +329,10 @@ def _bindings(schema, position, objects, static_facts):
             options: dict[tuple[str, ...], set[str]] = {}
             for value in matches:
                 options.setdefault(tuple(value[j] for j in earlier), set()).add(value[i])
-            joins[i].append((earlier, {k: sorted(v) for k, v in options.items()}))
+            joins[i].append((earlier, {k: sorted(v & domains[i]) for k, v in options.items()}))
 
     args: list[str] = [""] * n
+    free = [None if joins[i] else sorted(domains[i]) for i in range(n)]
 
     def extend(i):
         if i == n:
@@ -258,7 +345,7 @@ def _bindings(schema, position, objects, static_facts):
             if len(found) > 1:
                 candidates = sorted(set(candidates).intersection(*found[1:]))
         else:
-            candidates = objects
+            candidates = free[i]
         for o in candidates:
             args[i] = o
             yield from extend(i + 1)

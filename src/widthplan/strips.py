@@ -66,6 +66,8 @@ class GroundProblem:
     goal_neg: State
     objects: tuple[str, ...] = ()
     predicates: dict[str, int] = field(default_factory=dict)  # declared arities
+    # object tuples the grounding join yielded, before the relaxed fixpoint
+    bindings: int = field(default=0, compare=False)
     atom_index: dict[tuple[str, tuple[str, ...]], int] = field(init=False)
     atoms_by_predicate: dict[str, list[int]] = field(init=False)
     # atoms some action adds or deletes; every other atom keeps its initial

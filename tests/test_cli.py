@@ -58,10 +58,11 @@ def test_solve_iwk_optimal_on_clear_goal(gen_dir, capsys):
     assert stats["plan_length"] == 5
     assert set(stats) == {
         "algorithm", "k", "expanded", "generated", "plan_length",
-        "segments", "wall_ms", "verdict", "atoms", "actions",
+        "segments", "wall_ms", "verdict", "atoms", "actions", "bindings",
     }
-    # blocks_clear(3) has no atom that is never true
-    assert (stats["atoms"], stats["actions"]) == (25, 32)
+    # blocks_clear(3) has no atom that is never true; its join yields 40
+    # bindings, and the 8 stack/unstack bindings with ?x = ?y mention on(x,x)
+    assert (stats["atoms"], stats["actions"], stats["bindings"]) == (25, 32, 40)
 
 
 def test_solve_json_reports_the_numbered_model(gen_dir, capsys):

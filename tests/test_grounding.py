@@ -349,6 +349,37 @@ def _task(predicates, actions, objects, init):
     "(stat ?a) (p ?a)",
     "(:action s :parameters (?x) :precondition (and (stat ?x)) :effect (and (p ?x)))",
     "a b", "(p a)"))
+@example(task=_task(  # argument domains that grow over several fixpoint rounds
+    "(p0 ?a) (p1 ?a) (p2 ?a) (p3 ?a)",
+    "(:action s2 :parameters (?x) :precondition (and (p2 ?x)) :effect (and (p3 ?x))) "
+    "(:action s1 :parameters (?x) :precondition (and (p1 ?x)) :effect (and (p2 ?x))) "
+    "(:action s0 :parameters (?x) :precondition (and (p0 ?x)) "
+    ":effect (and (p1 ?x) (not (p0 ?x))))",
+    "a b c d", "(p0 a) (p1 b)"))
+@example(task=_task(  # a parameter that appears only in effects
+    "(p ?a) (q ?a)",
+    "(:action s :parameters (?x ?y) :precondition (and (p ?x)) "
+    ":effect (and (q ?y) (not (p ?x))))",
+    "a b c", "(p a)"))
+@example(task=_task(  # a fluent precondition position with an empty domain: only
+    # `grow` adds r, and its ?x fills positions with disjoint domains
+    "(p ?a) (q ?a) (r ?a ?b) (s ?a)",
+    "(:action grow :parameters (?x ?y) :precondition (and (p ?x) (q ?x)) "
+    ":effect (and (r ?x ?y))) "
+    "(:action never :parameters (?x ?y) :precondition (and (r ?x ?y)) :effect (and (s ?x))) "
+    "(:action some :parameters (?x) :precondition (and (q ?x)) :effect (and (s ?x) (not (p ?x))))",
+    "a b c", "(p a) (q b)"))
+@example(task=_task(  # a repeated variable in a fluent precondition
+    "(p ?a ?b) (q ?a)",
+    "(:action s :parameters (?x ?y) :precondition (and (p ?x ?x) (q ?y)) "
+    ":effect (and (p ?x ?y))) "
+    "(:action t :parameters (?x ?y) :precondition (and (p ?x ?y)) :effect (and (q ?x)))",
+    "a b c", "(p a b) (p b a) (q c)"))
+@example(task=_task(  # a 0-ary fluent precondition that is never reachable
+    "(done) (ready) (p ?a)",
+    "(:action finish :parameters () :precondition (and (ready)) :effect (and (done))) "
+    "(:action mark :parameters (?x) :precondition (and (done)) :effect (and (p ?x)))",
+    "a b", "(p a)"))
 @example(task=_task(  # zero parameters and zero objects
     "(ok) (p)",
     "(:action s :parameters () :precondition (and (ok)) :effect (and (p))) "
@@ -356,3 +387,41 @@ def _task(predicates, actions, objects, init):
     "", "(ok)"))
 def test_join_matches_product_on_random_domains(task):
     assert_same_grounding(*task)
+
+
+# The join yields only bindings inside the argument domains.  On Delivery every
+# yielded binding is kept; `pick` and `drop` have no static precondition, so
+# without the domains they would range over every object pair.  These counts
+# stand in for a timing test of the join.
+
+
+@pytest.mark.parametrize(
+    "bundle, bindings, kept",
+    [
+        pytest.param(domains.delivery(4, 4, [3, 8, 12], 1, 5), 144, 144, id="delivery-4x4x3"),
+        pytest.param(domains.delivery(5, 5, [7, 13, 24], 1, 12), 230, 230, id="delivery-5x5x3"),
+        pytest.param(domains.delivery(6, 6, [3, 8, 20, 30, 12], 1, 5), 480, 480,
+                     id="delivery-6x6x5"),
+        pytest.param(domains.delivery(8, 8, [3, 10, 20, 30, 40, 50, 60, 63], 1, 12), 1248, 1248,
+                     id="delivery-8x8x8"),
+        # 1,173 and 840 over all object tuples
+        pytest.param(domains.marbles([4, 4, 1]), 111, 36, id="marbles-4-4-1"),
+        pytest.param(domains.hanoi_odd(7), 756, 476, id="hanoi-odd-7"),
+        # unchanged: every blocks position can hold every object, and grid's
+        # static join already bounds its moves
+        pytest.param(domains.blocks_on(2, 3), 112, 98, id="blocks-on-2-3"),
+        pytest.param(domains.blocks_on(5, 5), 312, 288, id="blocks-on-5-5"),
+        pytest.param(domains.blocks_clear(6), 112, 98, id="blocks-clear-6"),
+        pytest.param(domains.grid(10, 10, 1, 100), 360, 360, id="grid-10x10"),
+    ],
+)
+def test_join_yields_only_bindings_inside_the_argument_domains(bundle, bindings, kept):
+    g = ground_bundle(bundle)
+    assert (g.bindings, len(g.actions)) == (bindings, kept)
+
+
+def test_bindings_do_not_enter_equality():
+    g = ground_bundle(domains.grid(3, 1, 1, 3))
+    assert g.bindings == 4
+    assert g == GroundProblem(g.name, g.atoms, g.actions, g.init, g.goal_pos, g.goal_neg,
+                              g.objects, g.predicates)
