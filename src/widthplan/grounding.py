@@ -241,15 +241,15 @@ def _argument_domains(schemas, arity, init, objects):
 
     The domains are sound: by induction on the rounds of the relaxed
     fixpoint, every atom that can be true has its predicate in `possible`
-    and each argument inside its position's domain.  Initial facts do by
-    the start.  A relaxed-applicable
-    binding has every precondition true, so each parameter's value lies in
-    every precondition position the parameter fills, hence in its domain,
-    and the schema is live; an atom it adds holds at each position the value
-    of the parameter filling it, which the position's domain has gained.  So
-    every relaxed-applicable binding has each parameter inside its domain,
-    and a join restricted to the domains loses no kept action and no
-    numbered atom: the ground model is the same.
+    and each argument inside its position's domain.  Initial facts do from
+    the start.  A relaxed-applicable binding has every precondition true, so
+    each parameter's value lies in every precondition position the
+    parameter fills, hence in its domain, and the schema is live; an atom it
+    adds holds at each position the value of the parameter filling it, which
+    the position's domain has gained.  So every relaxed-applicable binding
+    has each parameter inside its domain, and a join restricted to the
+    domains loses no kept action and no numbered atom: the ground model is
+    the same.
     """
     rows: dict[str, list[tuple[str, ...]]] = {}
     for ga in init:
