@@ -155,7 +155,11 @@ def blocks_clear(height: int, holding: str | None = None) -> Bundle:
 
 def blocks_on(above_x: int, above_y: int) -> Bundle:
     """On-goal instance with x and y in different towers, `above_x` blocks
-    over x (b1 topmost) and `above_y` over y (d1 topmost); goal on(x, y)."""
+    over x (b1 topmost) and `above_y` over y (d1 topmost); goal on(x, y).
+
+    It ships no tuple set: a hand-written walk of phase tuples is admissible
+    on layout (1, 1) alone, and every bundled set must hold on every layout.
+    """
     if above_x < 0 or above_y < 0:
         raise DomainError("block counts must be non-negative")
     bs = [f"b{i}" for i in range(1, above_x + 1)]
@@ -166,21 +170,6 @@ def blocks_on(above_x: int, above_y: int) -> Bundle:
         [tower_x, tower_y], ("on", "x", "y"), name=f"on-{above_x}-{above_y}"
     )
     bundle.family = "blocks-on"
-    if above_x >= 1 and above_y >= 1:
-        # Pairs pin the phase order: clearing x must keep the top of y free,
-        # and unloading y must leave the last x-block on the table, so every
-        # equal-cost "parking" variant still extends along the chain.
-        last_b = bs[-1]
-        lines = [f"clear({bs[0]})"]
-        for b in bs:
-            lines.append(f"hold({b}) & clear({ds[0]})")
-            lines.append(f"ontable({b}) & clear({ds[0]})")
-        for d in ds:
-            lines.append(f"hold({d}) & ontable({last_b})")
-            lines.append(f"ontable({d}) & ontable({last_b})")
-        lines.append("hold(x) & clear(y)")
-        lines.append("on(x,y)")
-        bundle.tuple_sets["walk"] = "\n".join(lines) + "\n"
     return bundle
 
 

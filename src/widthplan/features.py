@@ -41,6 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
+from .lexing import Token, Tokens
 from .strips import GroundProblem, State, atoms_of, state_from_atoms
 
 
@@ -473,144 +474,131 @@ for _i, _j in ((1, 2), (1, 3), (2, 3)):
 # Bundle parsing
 
 _DECL_RE = re.compile(r"^feature\s+(\w+)\s+(bool|num)\s*=\s*(.+)$")
-_TOKEN_RE = re.compile(r"\s*([A-Za-z0-9_]+|[(),]|\S)")
+# an expression is ASCII words and single characters between blanks
+_TOKENS = re.compile(r"\s*(?P<tok>[A-Za-z0-9_]+|\S)")
 
 
-class _ExprParser:
-    def __init__(self, text: str, lineno: int):
-        self.toks = _TOKEN_RE.findall(text)
-        self.pos = 0
-        self.lineno = lineno
+def _tokens(body: str, lineno: int) -> Tokens:
+    """The tokens of the expression declared on line `lineno`."""
 
-    def error(self, msg: str):
-        raise FeatureError(f"line {self.lineno}: {msg}")
+    def error(msg: str, tok: Token) -> FeatureError:
+        return FeatureError(f"line {lineno}: {msg}")
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    return Tokens(body, _TOKENS, error, "unexpected end of expression")
 
-    def next(self, expect=None):
-        tok = self.peek()
-        if tok is None:
-            self.error("unexpected end of expression")
-        if expect is not None and tok != expect:
-            self.error(f"expected '{expect}', found '{tok}'")
-        self.pos += 1
-        return tok
 
-    def parse(self) -> Expr:
-        expr = self.expr()
-        if self.peek() is not None:
-            self.error(f"trailing '{self.peek()}'")
-        return expr
+def _expr(ts: Tokens) -> Expr:
+    head = ts.next()
+    word = head.text
+    if word == "count":
+        ts.next("(")
+        p = _pattern(ts)
+        ts.next(")")
+        return Count(p)
+    if word == "missing":
+        ts.next("(")
+        p = _pattern(ts)
+        if p.args.count("_") != 1:
+            raise ts.error("missing(...) needs exactly one '_' hole", head)
+        objs = _comma_names(ts)
+        ts.next(")")
+        if not objs:
+            raise ts.error("missing(...) needs at least one object", head)
+        return Missing(p, tuple(objs))
+    if word == "chain_count":
+        ts.next("(")
+        pred = _name(ts)
+        ts.next(",")
+        seed = _name(ts)
+        ts.next(",")
+        direction = _name(ts)
+        if direction not in ("up", "down"):
+            raise ts.error("chain_count direction must be 'up' or 'down'", head)
+        ts.next(")")
+        return ChainCount(pred, seed, direction)
+    if word == "distance":
+        ts.next("(")
+        pos_pred = _name(ts)
+        ts.next(",")
+        adj_pred = _name(ts)
+        ts.next(",")
+        targets = _targets(ts)
+        zero_if = None
+        if ts.peek().text == ",":
+            ts.next()
+            ts.next("zero_if")
+            ts.next("(")
+            zero_if = _pattern(ts)
+            ts.next(")")
+        ts.next(")")
+        return Distance(pos_pred, adj_pred, targets, zero_if)
+    if word == "builtin":
+        ts.next("(")
+        name = _name(ts)
+        ts.next(")")
+        return Builtin(name)
+    if word == "sum":
+        ts.next("(")
+        left = _expr(ts)
+        ts.next(",")
+        right = _expr(ts)
+        ts.next(")")
+        return Sum(left, right)
+    if word == "nonzero":
+        ts.next("(")
+        inner = _expr(ts)
+        ts.next(")")
+        return Nonzero(inner)
+    raise ts.error(f"unknown expression '{word}'", head)
 
-    def expr(self) -> Expr:
-        head = self.next()
-        if head == "count":
-            self.next("(")
-            p = self.pattern()
-            self.next(")")
-            return Count(p)
-        if head == "missing":
-            self.next("(")
-            p = self.pattern()
-            if p.args.count("_") != 1:
-                self.error("missing(...) needs exactly one '_' hole")
-            objs = []
-            while self.peek() == ",":
-                self.next()
-                objs.append(self.name())
-            self.next(")")
-            if not objs:
-                self.error("missing(...) needs at least one object")
-            return Missing(p, tuple(objs))
-        if head == "chain_count":
-            self.next("(")
-            pred = self.name()
-            self.next(",")
-            seed = self.name()
-            self.next(",")
-            direction = self.name()
-            if direction not in ("up", "down"):
-                self.error("chain_count direction must be 'up' or 'down'")
-            self.next(")")
-            return ChainCount(pred, seed, direction)
-        if head == "distance":
-            self.next("(")
-            pos_pred = self.name()
-            self.next(",")
-            adj_pred = self.name()
-            self.next(",")
-            targets = self.targets()
-            zero_if = None
-            if self.peek() == ",":
-                self.next()
-                self.next("zero_if")
-                self.next("(")
-                zero_if = self.pattern()
-                self.next(")")
-            self.next(")")
-            return Distance(pos_pred, adj_pred, targets, zero_if)
-        if head == "builtin":
-            self.next("(")
-            name = self.name()
-            self.next(")")
-            return Builtin(name)
-        if head == "sum":
-            self.next("(")
-            left = self.expr()
-            self.next(",")
-            right = self.expr()
-            self.next(")")
-            return Sum(left, right)
-        if head == "nonzero":
-            self.next("(")
-            inner = self.expr()
-            self.next(")")
-            return Nonzero(inner)
-        self.error(f"unknown expression '{head}'")
 
-    def name(self) -> str:
-        tok = self.next()
-        if not re.fullmatch(r"\w+", tok):
-            self.error(f"expected name, found '{tok}'")
-        return tok.lower()
+def _name(ts: Tokens) -> str:
+    tok = ts.next()
+    if not re.fullmatch(r"\w+", tok.text):
+        raise ts.error(f"expected name, found '{tok.text}'", tok)
+    return tok.text.lower()
 
-    def pattern(self) -> Pattern:
-        pred = self.name()
-        self.next("(")
-        args = []
-        if self.peek() != ")":
-            args.append(self.next().lower())
-            while self.peek() == ",":
-                self.next()
-                args.append(self.next().lower())
-        self.next(")")
-        return Pattern(pred, tuple(args))
 
-    def targets(self):
-        head = self.next()
-        if head == "cells":
-            self.next("(")
-            objs = [self.name()]
-            while self.peek() == ",":
-                self.next()
-                objs.append(self.name())
-            self.next(")")
-            return CellTargets(tuple(objs))
-        if head == "cells_of":
-            self.next("(")
-            p = self.pattern()
-            exclude = []
-            if self.peek() == ",":
-                self.next()
-                self.next("not")
-                exclude.append(self.name())
-                while self.peek() == ",":
-                    self.next()
-                    exclude.append(self.name())
-            self.next(")")
-            return PatternTargets(p, tuple(exclude))
-        self.error(f"expected cells(...) or cells_of(...), found '{head}'")
+def _comma_names(ts: Tokens) -> list[str]:
+    """The names that follow, each after a comma."""
+    names = []
+    while ts.peek().text == ",":
+        ts.next()
+        names.append(_name(ts))
+    return names
+
+
+def _pattern(ts: Tokens) -> Pattern:
+    pred = _name(ts)
+    ts.next("(")
+    args = []
+    if ts.peek().text != ")":
+        args.append(ts.next().text.lower())
+        while ts.peek().text == ",":
+            ts.next()
+            args.append(ts.next().text.lower())
+    ts.next(")")
+    return Pattern(pred, tuple(args))
+
+
+def _targets(ts: Tokens) -> CellTargets | PatternTargets:
+    head = ts.next()
+    if head.text == "cells":
+        ts.next("(")
+        objs = [_name(ts), *_comma_names(ts)]
+        ts.next(")")
+        return CellTargets(tuple(objs))
+    if head.text == "cells_of":
+        ts.next("(")
+        p = _pattern(ts)
+        exclude = []
+        if ts.peek().text == ",":
+            ts.next()
+            ts.next("not")
+            exclude = [_name(ts), *_comma_names(ts)]
+        ts.next(")")
+        return PatternTargets(p, tuple(exclude))
+    raise ts.error(f"expected cells(...) or cells_of(...), found '{head.text}'", head)
 
 
 def parse_features(text: str) -> FeatureSet:
@@ -622,7 +610,10 @@ def parse_features(text: str) -> FeatureSet:
         m = _DECL_RE.match(line)
         if m is None:
             raise FeatureError(f"line {lineno}: expected 'feature NAME bool|num = EXPR'")
-        name, kind, body = m.group(1), m.group(2), m.group(3)
-        expr = _ExprParser(body, lineno).parse()
+        name, kind, body = m.groups()
+        ts = _tokens(body, lineno)
+        expr = _expr(ts)
+        if ts.peek().text:
+            raise ts.error(f"trailing '{ts.peek().text}'", ts.peek())
         features.append(Feature(name, kind, expr))
     return FeatureSet(features)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 from .features import FeatureSet
@@ -47,7 +47,6 @@ class StateSpace:
     problem_cost: int | None
     offsets: array  # array('i'), len(states) + 1 entries
     targets: array  # array('i'), one entry per edge
-    _goal_distance: list[int | None] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -56,9 +55,6 @@ class StateSpace:
     def start(self) -> State:
         """The initial state; its index is 0."""
         return self.states[0]
-
-    def is_goal_state(self, idx: int) -> bool:
-        return bool(self.goal_flags[idx])
 
     def cost_star(self, idx: int) -> int | None:
         if self.goal_flags[idx]:
@@ -72,30 +68,6 @@ class StateSpace:
     def successors(self, idx: int) -> list[tuple[int, int]]:
         """(action_id, successor index) pairs in canonical order."""
         return list(zip(applicable_actions(self.problem, self.states[idx]), self.row(idx)))
-
-    @property
-    def goal_distance(self) -> list[int | None]:
-        """Backward breadth-first distance to the nearest goal state."""
-        if self._goal_distance is None:
-            offsets, targets = self.offsets, self.targets
-            preds: list[list[int]] = [[] for _ in self.states]
-            for i in range(len(self.states)):
-                for j in targets[offsets[i]:offsets[i + 1]]:
-                    preds[j].append(i)
-            dist: list[int | None] = [None] * len(self.states)
-            queue = [i for i, g in enumerate(self.goal_flags) if g]
-            for i in queue:
-                dist[i] = 0
-            pos = 0
-            while pos < len(queue):
-                i = queue[pos]
-                pos += 1
-                for j in preds[i]:
-                    if dist[j] is None:
-                        dist[j] = dist[i] + 1
-                        queue.append(j)
-            self._goal_distance = dist
-        return self._goal_distance
 
 
 def enumerate_space(problem: GroundProblem, cap: int = DEFAULT_CAP) -> StateSpace:

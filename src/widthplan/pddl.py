@@ -15,7 +15,10 @@ effects and in problem goals, nowhere else.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+
+from .lexing import Token, Tokens
 
 
 class PddlError(ValueError):
@@ -49,12 +52,6 @@ class DomainAst:
     predicates: tuple[tuple[str, int], ...]  # (name, arity)
     schemas: tuple[ActionSchema, ...]
 
-    def arity(self, predicate: str) -> int | None:
-        for name, k in self.predicates:
-            if name == predicate:
-                return k
-        return None
-
 
 @dataclass(frozen=True)
 class GroundAtomAst:
@@ -73,89 +70,46 @@ class ProblemAst:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokens: parentheses and words; blanks, tabs and carriage returns separate
+# them, `;` starts a comment, and only `\n` starts a line
+
+_TOKENS = re.compile(r"[ \t\r]*(?:(?P<nl>\n)|;[^\n]*|(?P<tok>[()]|[^ \t\r\n();]+))")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
+def _error(msg: str, tok: Token) -> PddlError:
+    return PddlError(msg, tok.line, tok.col)
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            toks.append(_Tok(c, line, col))
-            i += 1
-            col += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            toks.append(_Tok(text[i:j].lower(), line, col))
-            col += j - i
-            i = j
-    return toks
+def _tokens(text: str) -> Tokens:
+    return Tokens(text, _TOKENS, _error, "unexpected end of input", lower=True)
 
 
-class _Stream:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self, expect: str | None = None) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            last = self.toks[-1] if self.toks else _Tok("", 1, 1)
-            raise PddlError("unexpected end of input", last.line, last.col)
-        if expect is not None and tok.text != expect:
-            raise PddlError(f"expected '{expect}', found '{tok.text}'", tok.line, tok.col)
-        self.pos += 1
-        return tok
-
-    def name(self, what: str = "name") -> _Tok:
-        tok = self.next()
-        if tok.text in "()" or tok.text.startswith(":"):
-            raise PddlError(f"expected {what}, found '{tok.text}'", tok.line, tok.col)
-        return tok
-
-    def done(self):
-        tok = self.peek()
-        if tok is not None:
-            raise PddlError(f"trailing input '{tok.text}'", tok.line, tok.col)
+def _name(ts: Tokens, what: str = "name") -> Token:
+    tok = ts.next()
+    if tok.text in "()" or tok.text.startswith(":"):
+        raise _error(f"expected {what}, found '{tok.text}'", tok)
+    return tok
 
 
-def _parse_atom(ts: _Stream) -> tuple[SchemaAtom, _Tok]:
+def _done(ts: Tokens):
+    tok = ts.peek()
+    if tok.text:
+        raise _error(f"trailing input '{tok.text}'", tok)
+
+
+def _parse_atom(ts: Tokens) -> tuple[SchemaAtom, Token]:
     opener = ts.next("(")
-    head = ts.name("predicate")
+    head = _name(ts, "predicate")
     args = []
     while True:
         tok = ts.peek()
-        if tok is None:
-            raise PddlError("unterminated atom", opener.line, opener.col)
+        if not tok.text:
+            raise _error("unterminated atom", opener)
         if tok.text == ")":
             ts.next()
             break
         if tok.text == "(":
-            raise PddlError("nested expression inside atom", tok.line, tok.col)
+            raise _error("nested expression inside atom", tok)
         args.append(ts.next().text)
     return SchemaAtom(head.text, tuple(args)), head
 
@@ -165,12 +119,12 @@ def _parse_atom(ts: _Stream) -> tuple[SchemaAtom, _Tok]:
 
 
 def parse_domain(text: str) -> DomainAst:
-    ts = _Stream(text)
+    ts = _tokens(text)
     ts.next("(")
     ts.next("define")
     ts.next("(")
     ts.next("domain")
-    name = ts.name("domain name").text
+    name = _name(ts, "domain name").text
     ts.next(")")
 
     predicates: list[tuple[str, int]] = []
@@ -180,7 +134,7 @@ def parse_domain(text: str) -> DomainAst:
 
     while True:
         tok = ts.peek()
-        if tok is None:
+        if not tok.text:
             raise PddlError("unterminated domain definition")
         if tok.text == ")":
             ts.next()
@@ -188,67 +142,62 @@ def parse_domain(text: str) -> DomainAst:
         ts.next("(")
         section = ts.next()
         if section.text == ":requirements":
-            while ts.peek() is not None and ts.peek().text != ")":
+            while ts.peek().text not in (")", ""):
                 flag = ts.next()
                 if flag.text != ":strips":
-                    raise PddlError(f"unsupported requirement '{flag.text}'", flag.line, flag.col)
+                    raise _error(f"unsupported requirement '{flag.text}'", flag)
             ts.next(")")
         elif section.text == ":predicates":
-            while ts.peek() is not None and ts.peek().text != ")":
+            while ts.peek().text not in (")", ""):
                 decl, head = _parse_atom(ts)
                 if decl.predicate in pred_arity:
-                    raise PddlError(f"duplicate predicate '{decl.predicate}'", head.line, head.col)
+                    raise _error(f"duplicate predicate '{decl.predicate}'", head)
                 for a in decl.args:
                     if not a.startswith("?"):
-                        raise PddlError(
-                            f"predicate declaration argument '{a}' must be a variable",
-                            head.line,
-                            head.col,
-                        )
+                        msg = f"predicate declaration argument '{a}' must be a variable"
+                        raise _error(msg, head)
                 pred_arity[decl.predicate] = len(decl.args)
                 predicates.append((decl.predicate, len(decl.args)))
             ts.next(")")
         elif section.text == ":action":
             schema = _parse_action(ts, pred_arity)
             if schema.name in schema_names:
-                raise PddlError(f"duplicate action '{schema.name}'", section.line, section.col)
+                raise _error(f"duplicate action '{schema.name}'", section)
             schema_names.add(schema.name)
             schemas.append(schema)
         else:
-            raise PddlError(f"unexpected section '{section.text}'", section.line, section.col)
+            raise _error(f"unexpected section '{section.text}'", section)
 
-    ts.done()
+    _done(ts)
     return DomainAst(name, tuple(predicates), tuple(schemas))
 
 
-def _check_schema_atom(atom: SchemaAtom, head: _Tok, pred_arity: dict[str, int], params: set[str]):
+def _check_schema_atom(atom: SchemaAtom, head: Token, pred_arity: dict[str, int], params: set[str]):
     arity = pred_arity.get(atom.predicate)
     if arity is None:
-        raise PddlError(f"undeclared predicate '{atom.predicate}'", head.line, head.col)
+        raise _error(f"undeclared predicate '{atom.predicate}'", head)
     if arity != len(atom.args):
-        raise PddlError(
-            f"arity mismatch for '{atom.predicate}': declared {arity}, used {len(atom.args)}",
-            head.line,
-            head.col,
+        raise _error(
+            f"arity mismatch for '{atom.predicate}': declared {arity}, used {len(atom.args)}", head
         )
     for a in atom.args:
         if not a.startswith("?"):
-            raise PddlError(f"constant '{a}' not allowed in schema body", head.line, head.col)
+            raise _error(f"constant '{a}' not allowed in schema body", head)
         if a not in params:
-            raise PddlError(f"unbound variable '{a}'", head.line, head.col)
+            raise _error(f"unbound variable '{a}'", head)
 
 
-def _parse_action(ts: _Stream, pred_arity: dict[str, int]) -> ActionSchema:
-    name = ts.name("action name").text
+def _parse_action(ts: Tokens, pred_arity: dict[str, int]) -> ActionSchema:
+    name = _name(ts, "action name").text
     ts.next(":parameters")
     ts.next("(")
     params: list[str] = []
-    while ts.peek() is not None and ts.peek().text != ")":
+    while ts.peek().text not in (")", ""):
         tok = ts.next()
         if not tok.text.startswith("?"):
-            raise PddlError(f"parameter '{tok.text}' must start with '?'", tok.line, tok.col)
+            raise _error(f"parameter '{tok.text}' must start with '?'", tok)
         if tok.text in params:
-            raise PddlError(f"duplicate parameter '{tok.text}'", tok.line, tok.col)
+            raise _error(f"duplicate parameter '{tok.text}'", tok)
         params.append(tok.text)
     ts.next(")")
     param_set = set(params)
@@ -270,14 +219,14 @@ def _parse_action(ts: _Stream, pred_arity: dict[str, int]) -> ActionSchema:
     return ActionSchema(name, tuple(params), tuple(pre), tuple(add), tuple(delete))
 
 
-def _parse_conjunction(ts: _Stream, allow_not: bool):
+def _parse_conjunction(ts: Tokens, allow_not: bool):
     """Yields (atom, head_token, negated) for `(and ...)` or a single literal."""
     ts.next("(")
     tok = ts.peek()
-    if tok is not None and tok.text == "and":
+    if tok.text == "and":
         ts.next()
         items = []
-        while ts.peek() is not None and ts.peek().text != ")":
+        while ts.peek().text not in (")", ""):
             items.append(_parse_literal(ts, allow_not))
         ts.next(")")
         return items
@@ -286,13 +235,13 @@ def _parse_conjunction(ts: _Stream, allow_not: bool):
     return [_parse_literal(ts, allow_not)]
 
 
-def _parse_literal(ts: _Stream, allow_not: bool):
+def _parse_literal(ts: Tokens, allow_not: bool):
     save = ts.pos
     ts.next("(")
     tok = ts.peek()
-    if tok is not None and tok.text == "not":
+    if tok.text == "not":
         if not allow_not:
-            raise PddlError("negation not allowed here", tok.line, tok.col)
+            raise _error("negation not allowed here", tok)
         ts.next()
         atom, head = _parse_atom(ts)
         ts.next(")")
@@ -307,12 +256,12 @@ def _parse_literal(ts: _Stream, allow_not: bool):
 
 
 def parse_problem(text: str) -> ProblemAst:
-    ts = _Stream(text)
+    ts = _tokens(text)
     ts.next("(")
     ts.next("define")
     ts.next("(")
     ts.next("problem")
-    name = ts.name("problem name").text
+    name = _name(ts, "problem name").text
     ts.next(")")
 
     domain_name = None
@@ -324,7 +273,7 @@ def parse_problem(text: str) -> ProblemAst:
 
     while True:
         tok = ts.peek()
-        if tok is None:
+        if not tok.text:
             raise PddlError("unterminated problem definition")
         if tok.text == ")":
             ts.next()
@@ -332,25 +281,25 @@ def parse_problem(text: str) -> ProblemAst:
         ts.next("(")
         section = ts.next()
         if section.text in seen:
-            raise PddlError(f"duplicate section '{section.text}'", section.line, section.col)
+            raise _error(f"duplicate section '{section.text}'", section)
         seen.add(section.text)
         if section.text == ":domain":
-            domain_name = ts.name("domain name").text
+            domain_name = _name(ts, "domain name").text
             ts.next(")")
         elif section.text == ":objects":
-            while ts.peek() is not None and ts.peek().text != ")":
+            while ts.peek().text not in (")", ""):
                 tok = ts.next()
                 if tok.text.startswith("?") or tok.text.startswith(":"):
-                    raise PddlError(f"bad object name '{tok.text}'", tok.line, tok.col)
+                    raise _error(f"bad object name '{tok.text}'", tok)
                 if tok.text in objects:
-                    raise PddlError(f"duplicate object '{tok.text}'", tok.line, tok.col)
+                    raise _error(f"duplicate object '{tok.text}'", tok)
                 objects.append(tok.text)
             ts.next(")")
         elif section.text == ":init":
-            while ts.peek() is not None and ts.peek().text != ")":
+            while ts.peek().text not in (")", ""):
                 atom, head, negated = _parse_literal(ts, allow_not=True)
                 if negated:
-                    raise PddlError("negated atom in :init (closed world)", head.line, head.col)
+                    raise _error("negated atom in :init (closed world)", head)
                 init.append(_ground_atom(atom, head, objects))
             ts.next(")")
         elif section.text == ":goal":
@@ -359,9 +308,9 @@ def parse_problem(text: str) -> ProblemAst:
                 (goal_neg if negated else goal_pos).append(ga)
             ts.next(")")
         else:
-            raise PddlError(f"unexpected section '{section.text}'", section.line, section.col)
+            raise _error(f"unexpected section '{section.text}'", section)
 
-    ts.done()
+    _done(ts)
     if domain_name is None:
         raise PddlError("missing (:domain ...) section")
     return ProblemAst(
@@ -369,12 +318,12 @@ def parse_problem(text: str) -> ProblemAst:
     )
 
 
-def _ground_atom(atom: SchemaAtom, head: _Tok, objects: list[str]) -> GroundAtomAst:
+def _ground_atom(atom: SchemaAtom, head: Token, objects: list[str]) -> GroundAtomAst:
     for a in atom.args:
         if a.startswith("?"):
-            raise PddlError(f"variable '{a}' in ground atom", head.line, head.col)
+            raise _error(f"variable '{a}' in ground atom", head)
         if a not in objects:
-            raise PddlError(f"undeclared object '{a}'", head.line, head.col)
+            raise _error(f"undeclared object '{a}'", head)
     return GroundAtomAst(atom.predicate, atom.args)
 
 

@@ -70,15 +70,11 @@ def siw_r(
     """Solve by chaining subgoal segments, each found by IW with k <= k_max.
 
     Fails when an inner search exhausts k_max (`reason` starts with "inner")
-    or when the cycle guard trips on a revisited segment start or the segment
-    cap (`reason` starts with "cycle").
+    or when a segment ends in a state that already started one (`reason`
+    starts with "cycle").  Segment starts are distinct states, so the loop
+    ends on any finite state space.
     """
     bound = bind(sketch, phi)
-    # generous: cyclic rule sets are caught by the revisit check.  Segment
-    # starts are distinct states, and they differ only in the numbered atoms
-    # (those that can be true), so only those count
-    max_segments = max(problem.n_atoms, 2) ** (len(sketch.numeric_indices()) + 1)
-
     totals = SearchStats()
     segments: list[Segment] = []
     plan: list[int] = []
@@ -86,11 +82,6 @@ def siw_r(
     seen_starts = {s}
 
     while not is_goal(problem, s):
-        if len(segments) >= max_segments:
-            return SerializedResult(
-                Outcome.FAILURE, None, segments, totals,
-                reason=f"cycle guard: segment cap {max_segments} reached",
-            )
         start_values = bound.valuation(problem, s)
         # the search stops at the first state the test accepts, so the last
         # state valued is the segment's end unless that end is a goal

@@ -15,6 +15,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .lexing import Token, Tokens
+
 # condition ops
 POS, NEG, EQ0, GT0 = "pos", "neg", "eq0", "gt0"
 # effect ops
@@ -304,59 +306,35 @@ def sieve(graph: PolicyGraph, choice=None) -> SieveResult:
 # Parsing
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
+# line breaks as str.splitlines counts them; `#` comments to the line's end
+_BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_TOKENS = re.compile(
+    rf"[^\S{_BREAK}]*(?:(?P<nl>\r\n|[{_BREAK}])|#[^{_BREAK}]*"
+    r"|(?P<tok>=>|\+\+|--|=0|>0|[{};,:?!]|[A-Za-z_]\w*)|(?P<bad>\S))"
+)
 
 
-class _Lexer:
-    SYMBOLS = ("=>", "++", "--", "=0", ">0", "{", "}", ";", ",", ":", "?", "!")
+def _error(msg: str, tok: Token) -> SketchError:
+    # the end of the text names no line
+    return SketchError(f"line {tok.line}: {msg}" if tok.text else msg)
 
-    def __init__(self, text: str):
-        self.toks: list[tuple[str, int]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0]
-            i = 0
-            while i < len(line):
-                c = line[i]
-                if c.isspace():
-                    i += 1
-                    continue
-                for sym in self.SYMBOLS:
-                    if line.startswith(sym, i):
-                        self.toks.append((sym, lineno))
-                        i += len(sym)
-                        break
-                else:
-                    m = _NAME_RE.match(line, i)
-                    if m is None:
-                        raise SketchError(f"line {lineno}: bad character '{c}'")
-                    self.toks.append((m.group(0), lineno))
-                    i = m.end()
-        self.pos = 0
 
-    def peek(self) -> str | None:
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
-
-    def next(self, expect: str | None = None) -> str:
-        if self.pos >= len(self.toks):
-            raise SketchError("unexpected end of sketch text")
-        tok, lineno = self.toks[self.pos]
-        if expect is not None and tok != expect:
-            raise SketchError(f"line {lineno}: expected '{expect}', found '{tok}'")
-        self.pos += 1
-        return tok
+def _tokens(text: str) -> Tokens:
+    return Tokens(text, _TOKENS, _error, "unexpected end of sketch text")
 
 
 def parse_sketch(text: str) -> Sketch:
-    lex = _Lexer(text)
+    lex = _tokens(text)
     lex.next("features")
     lex.next("{")
     features: list[SketchFeature] = []
     by_name: dict[str, int] = {}
-    while lex.peek() != "}":
-        name = lex.next()
+    while lex.peek().text != "}":
+        name = lex.next().text
         if not _NAME_RE.fullmatch(name):
             raise SketchError(f"bad feature name '{name}'")
         lex.next(":")
-        kind = lex.next()
+        kind = lex.next().text
         if kind not in ("bool", "num"):
             raise SketchError(f"feature '{name}': kind must be bool or num, not '{kind}'")
         lex.next(";")
@@ -369,15 +347,15 @@ def parse_sketch(text: str) -> Sketch:
     lex.next("rules")
     lex.next("{")
     rules: list[Rule] = []
-    while lex.peek() != "}":
+    while lex.peek().text != "}":
         rules.append(_parse_rule(lex, features, by_name))
     lex.next("}")
-    if lex.peek() is not None:
-        raise SketchError(f"trailing token '{lex.peek()}'")
+    if lex.peek().text:
+        raise SketchError(f"trailing token '{lex.peek().text}'")
     return Sketch(tuple(features), tuple(rules))
 
 
-def _parse_rule(lex: _Lexer, features, by_name) -> Rule:
+def _parse_rule(lex: Tokens, features, by_name) -> Rule:
     conditions = _parse_side(lex, features, by_name, effects=False)
     lex.next("=>")
     effects = _parse_side(lex, features, by_name, effects=True)
@@ -385,46 +363,39 @@ def _parse_rule(lex: _Lexer, features, by_name) -> Rule:
     return Rule(tuple(sorted(conditions.items())), tuple(sorted(effects.items())))
 
 
-def _parse_side(lex: _Lexer, features, by_name, effects: bool) -> dict[int, str]:
+_SUFFIX_OPS = {"++": INC, "--": DEC, "=0": EQ0, ">0": GT0}
+
+
+def _parse_side(lex: Tokens, features, by_name, effects: bool) -> dict[int, str]:
     lex.next("{")
     out: dict[int, str] = {}
-    while lex.peek() != "}":
-        negated = False
-        if lex.peek() == "!":
+    while lex.peek().text != "}":
+        negated = lex.peek().text == "!"
+        if negated:
             lex.next()
-            negated = True
-        name = lex.next()
+        name = lex.next().text
         idx = by_name.get(name)
         if idx is None:
             raise SketchError(f"undeclared feature '{name}'")
         kind = features[idx].kind
-        suffix = lex.peek()
+        suffix = lex.peek().text
         if negated:
             op = UNSET if effects else NEG
-        elif suffix == "?" :
+        elif suffix == "?":
             lex.next()
             op = ANYBOOL if kind == "bool" else ANYNUM
             if not effects:
                 raise SketchError(f"'{name}?' is only valid as an effect")
-        elif suffix == "++":
+        elif suffix in _SUFFIX_OPS:
             lex.next()
-            op = INC
-        elif suffix == "--":
-            lex.next()
-            op = DEC
-        elif suffix == "=0":
-            lex.next()
-            op = EQ0
-        elif suffix == ">0":
-            lex.next()
-            op = GT0
+            op = _SUFFIX_OPS[suffix]
         else:
             op = SET if effects else POS
         _check_op(name, kind, op, effects)
         if idx in out:
             raise SketchError(f"feature '{name}' mentioned twice on one rule side")
         out[idx] = op
-        if lex.peek() == ",":
+        if lex.peek().text == ",":
             lex.next()
     lex.next("}")
     return out

@@ -3,14 +3,20 @@
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthplan import (
     applicable_actions, apply, bfs_optimal, domains, ground, parse_domain, parse_problem, replay,
 )
 from widthplan.features import (
     BUILTINS,
+    Builtin,
+    Feature,
     FeatureError,
+    Pattern,
     boolean_projection,
+    compile_feature,
     evaluate,
     parse_features,
 )
@@ -347,3 +353,75 @@ def test_hanoi_builtins_reject_a_cycle_of_on_atoms():
     phi = parse_features(bundle.features_text)
     with pytest.raises(FeatureError, match="cycle"):
         phi.valuation(g, g.init)
+
+
+_DECL = "feature a num = "
+
+# every diagnostic of the bundle parser
+FEATURE_DIAGNOSTICS = [
+    ("feature a int = count(p(_))", "line 1: expected 'feature NAME bool|num = EXPR'"),
+    (_DECL + "count(p(_)", "line 1: unexpected end of expression"),
+    (_DECL + "sum(count(p(_)), count(q(_))", "line 1: unexpected end of expression"),
+    (_DECL + "count(p(_) x", "line 1: expected ')', found 'x'"),
+    (_DECL + "count(p(_)) x", "line 1: trailing 'x'"),
+    ("\n\n  " + _DECL + "distance(at, adj, cells_of(p(_), not a, b), zero_if(q(_))) x",
+     "line 3: trailing 'x'"),
+    (_DECL + "foo(x)", "line 1: unknown expression 'foo'"),
+    (_DECL + "missing(p(_, _), a)", "line 1: missing(...) needs exactly one '_' hole"),
+    (_DECL + "missing(p(a), b)", "line 1: missing(...) needs exactly one '_' hole"),
+    (_DECL + "missing(p(_))", "line 1: missing(...) needs at least one object"),
+    (_DECL + "chain_count(on, x, left)", "line 1: chain_count direction must be 'up' or 'down'"),
+    (_DECL + "chain_count(on, (, up)", "line 1: expected name, found '('"),
+    (_DECL + "distance(at, adj, nowhere(a))",
+     "line 1: expected cells(...) or cells_of(...), found 'nowhere'"),
+    (_DECL + "distance(at, adj, cells_of(p(_), but a))", "line 1: expected 'not', found 'but'"),
+    (_DECL + "distance(at, adj, cells(a), nonzero(q(_)))",
+     "line 1: expected 'zero_if', found 'nonzero'"),
+    (_DECL + "count(p(_))\nfeature a bool = nonzero(count(p(_)))", "duplicate feature name"),
+]
+
+
+@pytest.mark.parametrize("text, message", FEATURE_DIAGNOSTICS, ids=[m for _, m in FEATURE_DIAGNOSTICS])
+def test_feature_diagnostics(text, message):
+    with pytest.raises(FeatureError) as info:
+        parse_features(text)
+    assert type(info.value) is FeatureError and str(info.value) == message
+
+
+def test_feature_tokens_are_words_or_single_characters():
+    phi = parse_features(_DECL + "count ( P ( A , _ ) ) # comment\n" + "feature b num = builtin(é)\n")
+    assert phi.features[0].expr.pattern == Pattern("p", ("a", "_"))
+    assert phi.features[1].expr == Builtin("é")
+
+
+def test_select_diagnostics():
+    phi = parse_features(_DECL + "count(p(_))")
+    with pytest.raises(FeatureError, match=r"^feature 'b' not defined in bundle$"):
+        phi.select([("b", "num")])
+    with pytest.raises(FeatureError, match=r"^feature 'a' is num in the bundle but bool in the sketch$"):
+        phi.select([("a", "bool")])
+
+
+def test_compile_rejects_an_unknown_expression(qclear2):
+    g, _ = qclear2
+    with pytest.raises(FeatureError, match=r"^unknown expression 'x'$"):
+        compile_feature(Feature("a", "num", "x"), g)
+
+
+@given(st.text(alphabet="feature abnum=cot(p_),issgh dlyz\n#é", max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_parse_features_total_on_junk(text):
+    for body in (text, _DECL + text):
+        try:
+            parse_features(body)
+        except FeatureError:
+            pass
+
+
+@given(st.text(max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_parse_features_total_on_unicode(text):
+    try:
+        parse_features(_DECL + text)
+    except FeatureError:
+        pass

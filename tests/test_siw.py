@@ -205,6 +205,23 @@ def test_run_policy_hanoi_odd_seven():
     run = run_policy(g, bundle_sketch(bundle), bundle_features(bundle))
     assert run.status == "goal" and len(run.actions) == 2**7 - 1
     assert replay(g, run.actions)[-1] == run.states[-1]
+    # SIW_R chains one one-step segment per policy step; it ends by its
+    # revisit check alone, however many segments the sketch needs
+    for k_max in (0, 1):
+        res = siw_r(g, bundle_sketch(bundle), bundle_features(bundle), k_max=k_max)
+        assert res.solved and len(res.segments) == 2**7 - 1
+        assert res.plan == run.actions
+
+
+def test_run_policy_cyclic():
+    bundle = domains.grid(3, 1, 1, 3)
+    g = ground_bundle(bundle)
+    sketch = parse_sketch("features { d: num; } rules { { d>0 } => { d? }; }")
+    run = run_policy(g, sketch, bundle_features(bundle))
+    # the first successor compatible with `d?` is the way back
+    assert run.status == "cyclic" and not run.reached_goal
+    assert [str(g.actions[a]) for a in run.actions] == ["(move c1 c2)", "(move c2 c1)"]
+    assert run.states[-1] == run.states[0] == g.init
 
 
 def test_run_policy_counts_states_expanded_and_successors(hanoi3):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthplan.features import boolean_projection, parse_features
 from widthplan.oracle import enumerate_space
@@ -180,3 +182,86 @@ def test_concrete_pairs_project_to_graph_edges(family, qclear2, delivery_one):
         for b in range(len(space)):
             if relation(sketch, vals[a], vals[b]):
                 assert (vertex(vals[a]), vertex(vals[b])) in edge_set
+
+
+_ONE_NUM = "features { n: num; }\nrules { "
+
+# every diagnostic the sketch parser raises
+SKETCH_DIAGNOSTICS = [
+    ("", "unexpected end of sketch text"),
+    ("features {", "unexpected end of sketch text"),
+    ("features { n: num }", "line 1: expected ';', found '}'"),
+    ("features { ; }", "bad feature name ';'"),
+    ("features { n: int; }", "feature 'n': kind must be bool or num, not 'int'"),
+    ("features { n: num; n: bool; }", "duplicate feature 'n'"),
+    ("features { }\nrules { }\nx", "trailing token 'x'"),
+    ("features { 1n: num; }", "line 1: bad character '1'"),
+    (_ONE_NUM + "{ n>0 } = > { }; }", "line 2: bad character '='"),
+    # lines are counted as str.splitlines counts them
+    ("features { n: num; }\n# c\r\nrules { { n$ } => { }; }", "line 3: bad character '$'"),
+    ("features { n: num; }\f\x85rules { { n>0 } => { n++ } }", "line 3: expected ';', found '}'"),
+    ("features { H: bool; }\nrules { { H? } => { }; }", "'H?' is only valid as an effect"),
+    (_ONE_NUM + "{ n>0 } => { n-- }; { H } => { }; }", "undeclared feature 'H'"),
+    (_ONE_NUM + "{ n>0, n=0 } => { }; }", "feature 'n' mentioned twice on one rule side"),
+    (_ONE_NUM + "{ n } => { }; }", "'n' (num): invalid condition form"),
+    (_ONE_NUM + "{ n>0 } => { n }; }", "'n' (num): invalid effect form"),
+]
+
+
+@pytest.mark.parametrize("text, message", SKETCH_DIAGNOSTICS, ids=[m for _, m in SKETCH_DIAGNOSTICS])
+def test_sketch_diagnostics(text, message):
+    with pytest.raises(SketchError) as info:
+        parse_sketch(text)
+    assert type(info.value) is SketchError and str(info.value) == message
+
+
+@given(st.text(alphabet="featurslbonm{}:;!?=>+-0,# \n\r\f\x85_Hn1é", max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_parse_sketch_total_on_junk(text):
+    try:
+        parse_sketch(text)
+    except SketchError:
+        pass
+
+
+@given(st.text(max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_parse_sketch_total_on_unicode(text):
+    try:
+        parse_sketch("features { n: num; }\nrules { " + text)
+    except SketchError:
+        pass
+
+
+INC_SKETCH = "features { n: num; m: num; }\nrules { { n>0 } => { n--, m++ }; { m>0 } => { m--, n++ }; }\n"
+
+
+def test_increment_parses_and_relates_only_growth():
+    from widthplan.sketches import DEC, GT0, INC, pair_satisfies
+
+    sk = parse_sketch(INC_SKETCH)
+    assert sk.rules[0].conditions == ((0, GT0),)
+    assert sk.rules[0].effects == ((0, DEC), (1, INC))
+    assert parse_sketch(format_sketch(sk)) == sk
+    rule = sk.rules[0]
+    assert pair_satisfies(rule, (2, 0), (1, 1))
+    assert pair_satisfies(rule, (2, 0), (1, 5))
+    assert not pair_satisfies(rule, (2, 3), (1, 3))  # m must grow
+    assert not pair_satisfies(rule, (2, 3), (1, 2))
+
+
+def test_increment_edge_targets_a_positive_value():
+    sk = parse_sketch("features { n: num; }\nrules { { n=0 } => { n++ }; }\n")
+    # only the n=0 vertex (bit set) has an edge, and its target has n > 0
+    assert build_policy_graph(sk).edges == [(1, 0, 0)]
+
+
+def test_sieve_keeps_a_decrement_beside_an_increment():
+    # n falls and m rises on one edge, m falls and n rises on the other: the
+    # cycle has an increment for each decrement, so no edge can go
+    graph = build_policy_graph(parse_sketch(INC_SKETCH))
+    result = sieve(graph)
+    assert not result.accepted and result.steps == []
+    assert result.remaining_edges == list(range(len(graph.edges)))
+    inside = [i for i in result.remaining_edges if graph.edges[i][:2] == (0, 0)]
+    assert {graph.edges[i][2] for i in inside} == {0, 1}
