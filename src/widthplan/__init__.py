@@ -7,7 +7,7 @@ from .grounding import ground
 from .novelty import NoveltyTable, TupleSet, all_tuples_up_to, parse_tuple_set
 from .pddl import parse_domain, parse_problem
 from .search import Outcome, SearchResult, bfs_optimal, iw, iw_k, iw_phi, iw_t
-from .siw import policy_reachable, run_policy, siw_r
+from .siw import run_policy, siw_r
 from .sketches import Sketch, build_policy_graph, parse_sketch, relation, sieve
 from .strips import (
     GroundAction,
@@ -27,7 +27,7 @@ __all__ = [
     "ground", "NoveltyTable", "TupleSet", "all_tuples_up_to", "parse_tuple_set",
     "parse_domain", "parse_problem",
     "Outcome", "SearchResult", "bfs_optimal", "iw", "iw_k", "iw_phi", "iw_t",
-    "policy_reachable", "run_policy", "siw_r",
+    "run_policy", "siw_r",
     "Sketch", "build_policy_graph", "parse_sketch", "relation", "sieve",
     "GroundAction", "GroundAtom", "GroundProblem", "State",
     "applicable_actions", "apply", "atoms_of", "is_goal", "replay",

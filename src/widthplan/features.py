@@ -132,11 +132,12 @@ class FeatureSet:
     """Ordered features; valuations are tuples aligned with declaration order."""
 
     def __init__(self, features: list[Feature]):
-        names = [f.name for f in features]
-        if len(set(names)) != len(names):
-            raise FeatureError("duplicate feature name")
+        self.by_name: dict[str, Feature] = {}
+        for f in features:
+            if f.name in self.by_name:
+                raise FeatureError(f"duplicate feature name '{f.name}'")
+            self.by_name[f.name] = f
         self.features = list(features)
-        self.by_name = {f.name: f for f in features}
         # (problem, kernels) of the last problem valued
         self._compiled: tuple[GroundProblem, tuple[Kernel, ...]] | None = None
         # feature name -> (problem, kernel), shared with every selection;
@@ -602,7 +603,7 @@ def _targets(ts: Tokens) -> CellTargets | PatternTargets:
 
 
 def parse_features(text: str) -> FeatureSet:
-    features = []
+    features = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -615,5 +616,7 @@ def parse_features(text: str) -> FeatureSet:
         expr = _expr(ts)
         if ts.peek().text:
             raise ts.error(f"trailing '{ts.peek().text}'", ts.peek())
-        features.append(Feature(name, kind, expr))
-    return FeatureSet(features)
+        if name in features:
+            raise FeatureError(f"line {lineno}: duplicate feature name '{name}'")
+        features[name] = Feature(name, kind, expr)
+    return FeatureSet(list(features.values()))

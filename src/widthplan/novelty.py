@@ -3,7 +3,11 @@
 Tracks which atom tuples have been made true so far, either over an explicit
 tuple set or over the implicit universe of all tuples of size at most k.
 When the caller supplies the set of atoms flipped by a transition, only the
-tuples touching a flipped atom are examined.
+tuples touching a flipped atom are examined.  Over the universe, only the
+tuples holding an atom the transition made true are then recorded too: every
+other tuple true in the state was true in its parent, which was registered
+first.  A tuple T is recorded under T - {x} for each atom x of T whose
+removal leaves such an atom, so its record may differ from one x to another.
 """
 
 from __future__ import annotations
@@ -39,11 +43,6 @@ class TupleSet:
 
     def __len__(self) -> int:
         return len(self.tuples)
-
-    @property
-    def size(self) -> int:
-        """Largest tuple size; 0 for the empty set."""
-        return max((len(t) for t in self.tuples), default=0)
 
     def masks(self) -> list[State]:
         return [state_from_atoms(t) for t in self.tuples]
@@ -89,20 +88,37 @@ class NoveltyTable:
 
     `register(s, delta)` returns True iff some tracked tuple is true in `s`
     for the first time, and marks every tracked tuple true in `s` as seen.
-    `delta` (the atoms that flipped between the parent state and `s`) limits
-    the check to tuples containing a flipped atom; this is only sound when
-    the parent state was itself registered earlier.
+    `delta` holds the atoms that flipped between the parent state and `s`;
+    passing it is only sound when the parent was registered earlier, novel
+    or not.  A tuple true in `s` that holds no atom `s` gained (`s & delta`)
+    is true in the parent, and so was seen then: only the others are
+    examined and recorded.
 
     Over a universe, `register` is the test `novel(s, delta)` followed, when
-    it passes, by the fold `add(s)`; a caller may also fold states it has
-    tested in a batch.  The empty tuple is true in every state, so it makes
-    exactly the first added state novel.  One rule serves every other tuple
-    size: a tuple T of fluent atoms has been seen iff, for some atom a in T,
-    the mask kept under T - {a} holds a.  `add` ORs the state into the mask
-    of each of its fluent subsets; size 1 is one mask over every atom.  The
-    states one table sees share their non-fluent atoms, so a tuple holding
-    one is new exactly when its fluent part is.  The verdicts are those of
-    the full universe.
+    it passes, by the fold `add(s, delta)`; a caller may also fold states it
+    has tested in a batch.  The empty tuple is true in every state, so it
+    makes exactly the first added state novel.  One rule serves every
+    other size: a tuple T of fluent atoms has been seen iff, for some atom x
+    in T, the mask kept under T - {x} holds x; size 1 is the one mask under
+    the empty set, over every atom.  The states one table sees share their
+    non-fluent atoms, so a tuple holding one is new exactly when its fluent
+    part is.
+
+    The fold ORs the fluent part fs of `s` into the mask under each subset U
+    of fs with 1 <= |U| < k that holds a gained atom.  With no `delta`, or
+    at the root, whose `delta` is the root itself, every atom of `s` counts
+    as gained and the fold is full.  Invariant: every tuple T of 2..k fluent
+    atoms true in an added state is seen.  If T holds a gained atom b, take
+    x in T other than b: T - {x} holds b, so its mask got fs, which holds
+    x.  Otherwise T is true in the parent, which was either added before,
+    so T is seen by induction, or not novel, so T had been seen already.
+    Conversely a mask under U only ever gets states that hold U, so a seen
+    tuple was true in an added state, and the verdicts are those of the
+    full universe.  The masks are not symmetric, though: T may be recorded
+    under T - {x} for one x and not for another.  So the test, which looks
+    for a T holding a gained atom under the masks of the subsets that hold
+    one, checks each T those masks leave in every other direction before it
+    calls T new.
     """
 
     def __init__(self, tracked: TupleSet | TupleUniverse):
@@ -116,17 +132,18 @@ class NoveltyTable:
             self._empty_seen = False
             # k = 0 tracks no atom: every one counts as seen
             self._seen1 = 0 if tracked.k else -1
-            # size 2: per atom id, the fluent atoms seen together with it
+            # size 2: per atom id, the mask under that atom
             self._pair = [0] * tracked.n_atoms if tracked.k >= 2 else None
-            # sizes 3..k: the same per sorted tuple of 2..k-1 fluent atom ids
-            self._with: dict[tuple[int, ...], int] = {}
+            # sizes 3..k: the mask under each set of 2..k-1 fluent atoms,
+            # keyed by the set's own mask
+            self._with: dict[State, State] = {}
 
     def register(self, s: State, delta: State | None = None) -> bool:
         if isinstance(self.tracked, TupleSet):
             return self._register_explicit(s, delta)
         if not self.novel(s, delta):
             return False
-        self.add(s)
+        self.add(s, delta)
         return True
 
     def _register_explicit(self, s: State, delta: State | None) -> bool:
@@ -144,55 +161,87 @@ class NoveltyTable:
 
     def novel(self, s: State, delta: State | None = None) -> bool:
         """Whether a tuple of the universe true in `s` is unseen; with
-        `delta`, only tuples holding a flipped atom are examined."""
+        `delta`, only tuples holding an atom `s` gained are examined."""
         if not self._empty_seen:
             return True
-        scope = s if delta is None else s & delta
-        if scope & ~self._seen1:
+        gained = s if delta is None else s & delta
+        if gained & ~self._seen1:
             return True
         if self._k < 2:
             return False
         fs = s & self._fluent
         pair = self._pair
-        rest = fs & scope
+        rest = fs & gained
         while rest:
             low = rest & -rest
             rest ^= low
-            if fs & ~pair[low.bit_length() - 1]:
-                return True
-        return self._k > 2 and self._fresh(fs, scope)
+            # {a, b} has been seen iff pair[b] holds a or pair[a] holds b
+            unseen = fs & ~(pair[low.bit_length() - 1] | low)
+            while unseen:
+                a = unseen & -unseen
+                unseen ^= a
+                if not pair[a.bit_length() - 1] & low:
+                    return True
+        return self._k > 2 and self._fresh(fs, fs & gained)
 
-    def add(self, s: State) -> None:
-        """Mark every tuple of the universe true in `s` as seen."""
+    def add(self, s: State, delta: State | None = None) -> None:
+        """Mark every tuple of the universe true in `s` as seen; `delta`
+        as for `register`."""
         self._empty_seen = True
         self._seen1 |= s
-        if self._k >= 2:
-            fs = s & self._fluent
-            atoms = atoms_of(fs)
-            for a in atoms:
-                self._pair[a] |= fs
-            for r in range(2, self._k):
-                for sub in combinations(atoms, r):
-                    self._with[sub] = self._with.get(sub, 0) | fs
+        if self._k < 2:
+            return
+        fs = s & self._fluent
+        gained = fs if delta is None else fs & delta
+        pair = self._pair
+        rest = gained
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            pair[low.bit_length() - 1] |= fs
+        if self._k > 2:
+            with_ = self._with
+            for u in _subsets_holding(gained, fs, self._k):
+                with_[u] = with_.get(u, 0) | fs
 
-    def _fresh(self, fs: State, scope: State) -> bool:
+    def _fresh(self, fs: State, gained: State) -> bool:
         """Whether a tuple of 3..k fluent atoms true in `fs` and holding an
-        atom of `scope` is unseen."""
+        atom of `gained` is unseen."""
         with_ = self._with
-        flipped = atoms_of(fs & scope)
-        kept = atoms_of(fs & ~scope)
-        if not kept:  # every atom in scope: the subsets come sorted
-            return any(fs & ~with_.get(sub, 0)
-                       for r in range(2, self._k) for sub in combinations(flipped, r))
-        # T is seen iff T - {b} holds b for any b in T, so it suffices to
-        # look at the subsets that keep a flipped atom
-        for r in range(2, self._k):
-            for j in range(1, r + 1):
-                for part in combinations(flipped, j):
-                    for rest in combinations(kept, r - j):
-                        if fs & ~with_.get(tuple(sorted(part + rest)), 0):
-                            return True
+        for u in _subsets_holding(gained, fs, self._k):
+            unseen = fs & ~(with_.get(u, 0) | u)
+            while unseen:
+                x = unseen & -unseen
+                unseen ^= x
+                # T = U + {x} is not recorded under U; look under T - {y}
+                t, rest = u | x, u
+                while rest:
+                    y = rest & -rest
+                    rest ^= y
+                    if with_.get(t ^ y, 0) & y:
+                        break
+                else:
+                    return True
         return False
+
+
+def _subsets_holding(gained: State, fs: State, k: int) -> list[State]:
+    """The subsets of `fs` with 2..k-1 atoms that hold an atom of `gained`,
+    as masks; each comes once, with its lowest atom of `gained`."""
+    rest = []
+    while fs:
+        low = fs & -fs
+        rest.append(low)
+        fs ^= low
+    subsets = []
+    while gained:
+        g = gained & -gained
+        gained ^= g
+        rest.remove(g)
+        subsets += [g | b for b in rest]
+        for r in range(2, k - 1):  # distinct bits: their sum is their union
+            subsets += [g | sum(c) for c in combinations(rest, r)]
+    return subsets
 
 
 # ---------------------------------------------------------------------------

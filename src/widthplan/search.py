@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable
 
 from .novelty import NoveltyTable, TupleSet, all_tuples_up_to
-from .strips import GroundProblem, State, is_goal, successors
+from .strips import GroundProblem, State, applicable_actions, is_goal
 
 GoalTest = Callable[[State], bool]
 
@@ -93,6 +93,7 @@ def _bfs(
         goal_test = partial(is_goal, problem)
     stats = SearchStats(generated=1)
     root = problem.init if start is None else start
+    actions = problem.actions
     parent: dict[State, tuple[State, int] | None] = {root: None}
     queue: deque[State] = deque([root])
 
@@ -118,9 +119,11 @@ def _bfs(
                 stats.pruned += 1
                 continue
         stats.expanded += 1
-        succs = successors(problem, s)
-        stats.generated += len(succs)
-        for aid, succ in succs:
+        aids = applicable_actions(problem, s)
+        stats.generated += len(aids)
+        for aid in aids:
+            act = actions[aid]
+            succ = (s & ~act.delete) | act.add
             if succ not in parent:
                 parent[succ] = (s, aid)
                 queue.append(succ)

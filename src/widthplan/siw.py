@@ -14,13 +14,7 @@ from .search import Outcome, SearchStats, iw, sum_stats
 from .sketches import Sketch, relation
 from .strips import GroundProblem, State, is_goal, successors
 
-
-class SiwError(ValueError):
-    pass
-
-
 STEP_CAP = 1_000_000  # run_policy stops with status "cap" after this many steps
-POLICY_CLOSURE_CAP = 100_000  # policy_reachable raises past this many states
 
 
 def bind(sketch: Sketch, phi: FeatureSet) -> FeatureSet:
@@ -167,24 +161,3 @@ def run_policy(problem: GroundProblem, sketch: Sketch, phi: FeatureSet) -> Polic
 
     return PolicyRun(status, states, actions, expanded, generated)
 
-
-def policy_reachable(problem: GroundProblem, sketch: Sketch, phi: FeatureSet) -> set[State]:
-    """Closure of the initial state under all policy transitions
-    (transitions leaving non-goal states that satisfy some rule)."""
-    bound = bind(sketch, phi)
-    seen = {problem.init}
-    frontier = [problem.init]
-    while frontier:
-        s = frontier.pop()
-        if is_goal(problem, s):
-            continue
-        values = bound.valuation(problem, s)
-        for _, succ in successors(problem, s):
-            if succ in seen:
-                continue
-            if relation(sketch, values, bound.valuation(problem, succ)):
-                seen.add(succ)
-                frontier.append(succ)
-                if len(seen) > POLICY_CLOSURE_CAP:
-                    raise SiwError(f"policy closure exceeds {POLICY_CLOSURE_CAP} states")
-    return seen

@@ -81,6 +81,22 @@ def test_solve_iwt_with_tuples(gen_dir, capsys):
     assert stats["plan_length"] == 5
 
 
+def test_solve_iwphi_json_matches_the_library(gen_dir, capsys):
+    from widthplan import ground, iw_phi, parse_domain, parse_features, parse_problem
+
+    d = gen_dir["blocks-clear"]
+    code = _solve(gen_dir, "blocks-clear", "--alg", "iwphi",
+                  "--features", str(d / "features.feat"), "--json")
+    assert code == 0
+    stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    g = ground(parse_domain((d / "domain.pddl").read_text()),
+               parse_problem((d / "problem.pddl").read_text()))
+    result = iw_phi(g, parse_features((d / "features.feat").read_text()))
+    assert stats["algorithm"] == "iwphi" and stats["verdict"] == "solved"
+    assert (stats["expanded"], stats["generated"], stats["plan_length"]) == (
+        result.stats.expanded, result.stats.generated, len(result.plan)) == (5, 12, 5)
+
+
 def test_solve_siwr_hanoi_policy(gen_dir, capsys):
     d = gen_dir["hanoi"]
     code = _solve(

@@ -14,6 +14,7 @@ from widthplan.features import (
     Builtin,
     Feature,
     FeatureError,
+    FeatureSet,
     Pattern,
     boolean_projection,
     compile_feature,
@@ -377,7 +378,8 @@ FEATURE_DIAGNOSTICS = [
     (_DECL + "distance(at, adj, cells_of(p(_), but a))", "line 1: expected 'not', found 'but'"),
     (_DECL + "distance(at, adj, cells(a), nonzero(q(_)))",
      "line 1: expected 'zero_if', found 'nonzero'"),
-    (_DECL + "count(p(_))\nfeature a bool = nonzero(count(p(_)))", "duplicate feature name"),
+    (_DECL + "count(p(_))\n\nfeature a bool = nonzero(count(p(_)))",
+     "line 3: duplicate feature name 'a'"),
 ]
 
 
@@ -400,6 +402,14 @@ def test_select_diagnostics():
         phi.select([("b", "num")])
     with pytest.raises(FeatureError, match=r"^feature 'a' is num in the bundle but bool in the sketch$"):
         phi.select([("a", "bool")])
+
+
+def test_feature_set_names_a_duplicate_feature():
+    phi = parse_features(_DECL + "count(p(_))")
+    with pytest.raises(FeatureError, match=r"^duplicate feature name 'a'$"):
+        FeatureSet([*phi.features, *phi.features])
+    with pytest.raises(FeatureError, match=r"^duplicate feature name 'a'$"):
+        phi.select([("a", "num"), ("a", "num")])
 
 
 def test_compile_rejects_an_unknown_expression(qclear2):

@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widthplan import applicable_actions, apply, domains, state_from_atoms
@@ -104,15 +104,26 @@ class _EveryTuple:
         return bool(fresh)
 
 
+# a walk that comes back to registered states that were not novel and goes
+# on from them, on hanoi and on blocks alike
+_BACK_AND_ON = [(0, 0), (1, 0), (2, 1), (3, 2), (2, 3), (4, 0), (5, 1), (1, 2), (6, 0)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     name=st.sampled_from(sorted(_WALK_INSTANCES)),
     k=st.integers(0, 4),
     picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=40),
 )
+@example(name="hanoi", k=3, picks=_BACK_AND_ON)
+@example(name="hanoi", k=4, picks=_BACK_AND_ON)
+@example(name="blocks", k=3, picks=_BACK_AND_ON)
+@example(name="blocks", k=4, picks=_BACK_AND_ON)
 def test_universe_table_matches_every_tuple_set(name, k, picks):
-    # random transitions out of registered states, each registered with its
-    # flipped atoms by one table and without them by another
+    # random transitions out of registered states, novel or not, each
+    # registered with its flipped atoms by one table and without them by
+    # another; the first folds only the tuples holding an atom the
+    # transition made true
     g = _walk_problem(name)
     with_delta = NoveltyTable(all_tuples_up_to(g, k))
     without = NoveltyTable(all_tuples_up_to(g, k))
@@ -129,6 +140,75 @@ def test_universe_table_matches_every_tuple_set(name, k, picks):
         assert with_delta.register(succ, parent ^ succ) == expected
         assert without.register(succ) == expected
         registered.append(succ)
+
+
+class _FullFoldTable:
+    """A reference universe table that folds every state in full: `add`
+    ORs the state into the mask under every fluent subset, so the masks are
+    symmetric and one direction decides each tuple."""
+
+    def __init__(self, tracked):
+        self._k = tracked.k
+        self._fluent = tracked.fluent
+        self._empty_seen = False
+        self._seen1 = 0 if tracked.k else -1
+        self._pair = [0] * tracked.n_atoms if tracked.k >= 2 else None
+        self._with = {}
+
+    def register(self, s, delta=None):
+        if not self.novel(s, delta):
+            return False
+        self.add(s)
+        return True
+
+    def novel(self, s, delta=None):
+        if not self._empty_seen:
+            return True
+        scope = s if delta is None else s & delta
+        if scope & ~self._seen1:
+            return True
+        if self._k < 2:
+            return False
+        fs = s & self._fluent
+        if any(fs & ~self._pair[b] for b in atoms_of(fs & scope)):
+            return True
+        return self._k > 2 and self._fresh(fs, scope)
+
+    def add(self, s):
+        self._empty_seen = True
+        self._seen1 |= s
+        if self._k >= 2:
+            fs = s & self._fluent
+            atoms = atoms_of(fs)
+            for a in atoms:
+                self._pair[a] |= fs
+            for r in range(2, self._k):
+                for sub in combinations(atoms, r):
+                    self._with[sub] = self._with.get(sub, 0) | fs
+
+    def _fresh(self, fs, scope):
+        flipped, kept = atoms_of(fs & scope), atoms_of(fs & ~scope)
+        return any(
+            fs & ~self._with.get(tuple(sorted(part + rest)), 0)
+            for r in range(2, self._k)
+            for j in range(1, r + 1)
+            for part in combinations(flipped, j)
+            for rest in combinations(kept, r - j)
+        )
+
+
+@pytest.mark.parametrize("name", sorted(_WALK_INSTANCES))
+def test_iw_k_counts_equal_with_the_full_fold(name, monkeypatch):
+    from widthplan import search
+
+    g = _walk_problem(name)
+    runs = []
+    for table in (NoveltyTable, _FullFoldTable):
+        monkeypatch.setattr(search, "NoveltyTable", table)
+        results = [search.iw_k(g, k) for k in range(4)]
+        runs.append([(r.outcome, r.plan, r.stats.expanded, r.stats.generated, r.stats.pruned)
+                     for r in results])
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -195,13 +275,13 @@ def test_tuple_set_file_round_trip(qclear2):
     g, bundle = qclear2
     ts = parse_tuple_set(bundle.tuple_sets["walk"], g)
     assert parse_tuple_set(format_tuple_set(ts, g), g) == ts
-    assert ts.size == 1 and len(ts) == 4
+    assert len(ts) == 4 and all(len(t) == 1 for t in ts.tuples)
 
 
 def test_tuple_set_two_atom_line(qclear2):
     g, _ = qclear2
     ts = parse_tuple_set("hold(b1) & clear(x)\n# comment\n", g)
-    assert len(ts) == 1 and ts.size == 2
+    assert ts.tuples == (tuple(sorted((g.atom_id("hold", ("b1",)), g.atom_id("clear", ("x",))))),)
 
 
 def test_tuple_set_unknown_atom(qclear2):

@@ -322,13 +322,29 @@ def test_width_bracket_consistency(qclear2):
     assert effective_width(g, 2) == 1
     assert lower_bound_witness(space, 0)
     tuples = parse_tuple_set(bundle.tuple_sets["walk"], g)
-    assert is_admissible(space, tuples).ok and tuples.size == 1
+    assert is_admissible(space, tuples).ok and {len(t) for t in tuples.tuples} == {1}
 
 
 def test_iwphi_optimal_when_policy_valuations_form_envelope():
     from widthplan import iw_phi
-    from widthplan.siw import bind, policy_reachable
-    from widthplan.sketches import parse_sketch
+    from widthplan.siw import bind
+    from widthplan.sketches import parse_sketch, relation
+    from widthplan.strips import successors
+
+    def policy_closure(g, sketch, phi):
+        # the initial state closed under the transitions that leave a
+        # non-goal state and satisfy some rule
+        seen, frontier = {g.init}, [g.init]
+        while frontier:
+            s = frontier.pop()
+            if is_goal(g, s):
+                continue
+            values = phi.valuation(g, s)
+            for _, succ in successors(g, s):
+                if succ not in seen and relation(sketch, values, phi.valuation(g, succ)):
+                    seen.add(succ)
+                    frontier.append(succ)
+        return seen
 
     for make, key in [
         (lambda: domains.blocks_clear(2), "policy"),
@@ -340,7 +356,7 @@ def test_iwphi_optimal_when_policy_valuations_form_envelope():
         sketch = parse_sketch(bundle.sketches[key])
         phi = bind(sketch, bundle_features(bundle))
         space = enumerate_space(g)
-        reached = policy_reachable(g, sketch, phi)
+        reached = policy_closure(g, sketch, phi)
         valuations = {phi.valuation(g, s) for s in reached}
         members = {
             i
@@ -682,6 +698,17 @@ def test_sketch_width_dead_end_subproblem():
     assert report.value is None and report.family_size == 2
     assert report.subproblem_widths == {0: 0, 1: None}
     assert "at(b)" in report.reason and "dead end" in report.reason
+
+
+def test_sketch_width_when_the_initial_state_is_a_goal():
+    # the family is the goal root alone, a subproblem of width 0
+    bundle = domains.grid(3, 1, 2, 2)
+    g = ground_bundle(bundle)
+    space = enumerate_space(g)
+    assert space.goal_flags[0]
+    report = sketch_width_on(space, parse_sketch(bundle.sketches["policy"]), bundle_features(bundle), 2)
+    assert (report.value, report.family_size, report.subproblem_widths) == (0, 1, {0: 0})
+    assert not report.reason
 
 
 def test_effective_width_on_matches_reference_search():

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from widthplan import Outcome, bfs_optimal, domains, is_goal, replay
-from widthplan.siw import policy_reachable, run_policy, siw_r
+from widthplan.siw import run_policy, siw_r
 from widthplan.sketches import parse_sketch, relation
 from widthplan.strips import successors
 from tests.conftest import bundle_features, bundle_sketch, ground_bundle
@@ -100,26 +100,6 @@ def test_run_policy_trajectory_is_valid(delivery_small):
     run = run_policy(g, bundle_sketch(bundle), bundle_features(bundle))
     assert run.reached_goal
     assert replay(g, run.actions)[-1] == run.states[-1]
-
-
-def test_policy_reachable_qclear(qclear2):
-    g, bundle = qclear2
-    states = policy_reachable(g, bundle_sketch(bundle), bundle_features(bundle))
-    assert len(states) == 4  # start, lift top, top on table, lift second
-
-
-def test_policy_reachable_empty_sketch(delivery_one):
-    g, bundle = delivery_one
-    sketch = parse_sketch(bundle.sketches["r0"])
-    assert policy_reachable(g, sketch, bundle_features(bundle)) == {g.init}
-
-
-def test_policy_reachable_marbles_diamond():
-    # two marbles can leave the box in either order before it is removed
-    bundle = domains.marbles([2])
-    g = ground_bundle(bundle)
-    states = policy_reachable(g, bundle_sketch(bundle), bundle_features(bundle))
-    assert len(states) == 5
 
 
 ZERO_WIDTH_PAIRS = [
