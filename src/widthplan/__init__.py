@@ -2,7 +2,7 @@
 searches, rule-based policies and sketches over state features, a serialized
 subgoal-driven solver, and brute-force verification oracles."""
 
-from .features import FeatureSet, boolean_projection, evaluate, parse_features
+from .features import FeatureSet, boolean_projection, parse_features
 from .grounding import ground
 from .novelty import NoveltyTable, TupleSet, all_tuples_up_to, parse_tuple_set
 from .pddl import parse_domain, parse_problem
@@ -23,7 +23,7 @@ from .strips import (
 )
 
 __all__ = [
-    "FeatureSet", "boolean_projection", "evaluate", "parse_features",
+    "FeatureSet", "boolean_projection", "parse_features",
     "ground", "NoveltyTable", "TupleSet", "all_tuples_up_to", "parse_tuple_set",
     "parse_domain", "parse_problem",
     "Outcome", "SearchResult", "bfs_optimal", "iw", "iw_k", "iw_phi", "iw_t",

@@ -14,18 +14,13 @@ import time
 from pathlib import Path
 
 from . import domains, oracle
-from .features import FeatureError, FeatureSet, parse_features
-from .grounding import GroundingError, ground
-from .novelty import TupleSetError, parse_tuple_set
-from .pddl import PddlError, parse_domain, parse_problem
+from .features import FeatureSet, parse_features
+from .grounding import ground
+from .novelty import parse_tuple_set
+from .pddl import parse_domain, parse_problem
 from .search import SearchResult, bfs_optimal, iw, iw_k, iw_phi, iw_t
 from .siw import SerializedResult, run_policy, siw_r
-from .sketches import SketchError, build_policy_graph, parse_sketch, sieve
-
-_INPUT_ERRORS = (
-    PddlError, GroundingError, FeatureError, SketchError, TupleSetError,
-    domains.DomainError, oracle.OracleError, OSError, ValueError,
-)
+from .sketches import build_policy_graph, parse_sketch, sieve
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,7 +31,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         return args.handler(args)
-    except _INPUT_ERRORS as exc:
+    except (OSError, ValueError) as exc:  # every module's input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

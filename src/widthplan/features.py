@@ -211,16 +211,13 @@ def register_builtin(name: str):
     return deco
 
 
-def evaluate(feature: Feature, problem: GroundProblem, s: State) -> int:
-    """Value of one feature in `s`.  This compiles the feature afresh; a
-    FeatureSet compiles once per problem and is the way to evaluate many
-    states."""
-    return compile_feature(feature, problem)(s)
-
-
 def compile_feature(feature: Feature, problem: GroundProblem) -> Kernel:
-    """Kernel of `feature` on `problem`; it raises FeatureError for a bool
-    value outside {0, 1} or a negative value."""
+    """Kernel of `feature` on `problem`.  It raises FeatureError for a name
+    the problem does not declare, and the kernel for a bool value outside
+    {0, 1} or a negative value."""
+    undeclared = next(_undeclared(feature.expr, problem), None)
+    if undeclared is not None:
+        raise FeatureError(f"feature '{feature.name}': {undeclared}")
     inner = _compile(feature.expr, problem)
     if isinstance(feature.expr, Nonzero) or (
         feature.kind == "num" and not _may_be_negative(feature.expr)
@@ -237,6 +234,49 @@ def compile_feature(feature: Feature, problem: GroundProblem) -> Kernel:
         return v
 
     return kernel
+
+
+def _undeclared(expr: Expr, problem: GroundProblem):
+    """What `expr` names that `problem` does not declare: a predicate, one
+    used at another arity, or an object.  A declared atom that is never
+    true is not among them: a `count` of it is 0, and `missing` counts it."""
+    if isinstance(expr, Sum):
+        yield from _undeclared(expr.left, problem)
+        yield from _undeclared(expr.right, problem)
+        return
+    if isinstance(expr, Nonzero):
+        yield from _undeclared(expr.inner, problem)
+        return
+    arities, objects = [], []  # (predicate, arity used) and object names
+    if isinstance(expr, Count):
+        patterns = [expr.pattern]
+    elif isinstance(expr, Missing):
+        patterns, objects = [expr.pattern], list(expr.objects)
+    elif isinstance(expr, ChainCount):
+        patterns, arities, objects = [], [(expr.predicate, 2)], [expr.seed]
+    elif isinstance(expr, Distance):
+        patterns = [] if expr.zero_if is None else [expr.zero_if]
+        arities = [(expr.pos_predicate, 1), (expr.adj_predicate, 2)]
+        if isinstance(expr.targets, CellTargets):
+            objects = list(expr.targets.objects)
+        else:
+            patterns.append(expr.targets.pattern)
+            objects = list(expr.targets.exclude)
+    else:  # a builtin declares its own names
+        return
+    for p in patterns:
+        arities.append((p.predicate, len(p.args)))
+        objects += [a for a in p.args if a != "_"]
+    for pred, n in arities:
+        declared = problem.predicates.get(pred)
+        if declared is None:
+            yield f"undeclared predicate '{pred}'"
+        elif declared != n:
+            yield f"predicate '{pred}' has arity {declared}, not {n}"
+    known = set(problem.objects)
+    for obj in objects:
+        if obj not in known:
+            yield f"unknown object '{obj}'"
 
 
 def _may_be_negative(expr: Expr) -> bool:

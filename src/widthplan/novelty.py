@@ -94,6 +94,11 @@ class NoveltyTable:
     is true in the parent, and so was seen then: only the others are
     examined and recorded.
 
+    Over an explicit set, `delta` changes no verdict, so it is not read: a
+    tracked tuple true in `s` that holds no flipped atom was true in the
+    parent, which was registered first, so the tuple is already seen
+    (induct down to the root, whose `delta` is the root itself).
+
     Over a universe, `register` is the test `novel(s, delta)` followed, when
     it passes, by the fold `add(s, delta)`; a caller may also fold states it
     has tested in a batch.  The empty tuple is true in every state, so it
@@ -140,21 +145,17 @@ class NoveltyTable:
 
     def register(self, s: State, delta: State | None = None) -> bool:
         if isinstance(self.tracked, TupleSet):
-            return self._register_explicit(s, delta)
+            return self._register_explicit(s)
         if not self.novel(s, delta):
             return False
         self.add(s, delta)
         return True
 
-    def _register_explicit(self, s: State, delta: State | None) -> bool:
+    def _register_explicit(self, s: State) -> bool:
         novel = False
         masks, seen = self._masks, self._seen
         for i, t in enumerate(masks):
-            if seen[i]:
-                continue
-            if delta is not None and t and not (t & delta):
-                continue
-            if t & s == t:
+            if not seen[i] and t & s == t:
                 seen[i] = True
                 novel = True
         return novel

@@ -14,7 +14,6 @@ from itertools import compress
 from .features import FeatureSet
 from .novelty import NoveltyTable, TupleSet, all_tuples_up_to
 from .search import GoalTest, bfs_optimal, iw_k
-from .siw import bind
 from .sketches import Sketch, pair_satisfies, strongly_connected_components
 from .strips import GroundProblem, State, applicability_tables, applicable_actions
 
@@ -61,13 +60,10 @@ class StateSpace:
             return self.problem_cost
         return self.cost[idx]
 
-    def row(self, idx: int) -> array:
-        """Successor indices of state `idx`, one per applicable action."""
-        return self.targets[self.offsets[idx]:self.offsets[idx + 1]]
-
     def successors(self, idx: int) -> list[tuple[int, int]]:
         """(action_id, successor index) pairs in canonical order."""
-        return list(zip(applicable_actions(self.problem, self.states[idx]), self.row(idx)))
+        row = self.targets[self.offsets[idx]:self.offsets[idx + 1]]
+        return list(zip(applicable_actions(self.problem, self.states[idx]), row))
 
 
 def enumerate_space(problem: GroundProblem, cap: int = DEFAULT_CAP) -> StateSpace:
@@ -391,7 +387,7 @@ def _compatibility(space: StateSpace, sketch: Sketch, phi: FeatureSet):
     """Per state, the index of its feature valuation among the realized
     ones; and per pair (a, b) of realized valuations, whether some rule is
     compatible with going from a to b."""
-    bound = bind(sketch, phi)
+    bound = phi.select(sketch.names_kinds)
     vals: list[tuple[int, ...]] = []
     val_index: dict[tuple[int, ...], int] = {}
     state_val: list[int] = []

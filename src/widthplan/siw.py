@@ -12,14 +12,9 @@ from dataclasses import dataclass, field
 from .features import FeatureSet
 from .search import Outcome, SearchStats, iw, sum_stats
 from .sketches import Sketch, relation
-from .strips import GroundProblem, State, is_goal, successors
+from .strips import GroundProblem, State, applicable_actions, is_goal
 
 STEP_CAP = 1_000_000  # run_policy stops with status "cap" after this many steps
-
-
-def bind(sketch: Sketch, phi: FeatureSet) -> FeatureSet:
-    """Features of `phi` reordered to the sketch's declaration order."""
-    return phi.select(sketch.names_kinds)
 
 
 @dataclass
@@ -68,7 +63,7 @@ def siw_r(
     starts with "cycle").  Segment starts are distinct states, so the loop
     ends on any finite state space.
     """
-    bound = bind(sketch, phi)
+    bound = phi.select(sketch.names_kinds)
     totals = SearchStats()
     segments: list[Segment] = []
     plan: list[int] = []
@@ -127,7 +122,8 @@ class PolicyRun:
 def run_policy(problem: GroundProblem, sketch: Sketch, phi: FeatureSet) -> PolicyRun:
     """Follow the rule relation greedily from the initial state, taking the
     first compatible successor in canonical action order at each step."""
-    bound = bind(sketch, phi)
+    bound = phi.select(sketch.names_kinds)
+    acts = problem.actions
     s = problem.init
     states = [s]
     actions: list[int] = []
@@ -140,18 +136,18 @@ def run_policy(problem: GroundProblem, sketch: Sketch, phi: FeatureSet) -> Polic
             status = "cap"
             break
         values = bound.valuation(problem, s)
-        succs = successors(problem, s)
+        aids = applicable_actions(problem, s)
         expanded += 1
-        generated += len(succs)
-        chosen = None
-        for aid, succ in succs:
+        generated += len(aids)
+        for aid in aids:
+            act = acts[aid]
+            succ = (s & ~act.delete) | act.add
             if relation(sketch, values, bound.valuation(problem, succ)):
-                chosen = (aid, succ)
                 break
-        if chosen is None:
+        else:
             status = "stuck"
             break
-        aid, s = chosen
+        s = succ
         actions.append(aid)
         states.append(s)
         if s in visited and not is_goal(problem, s):

@@ -330,16 +330,18 @@ def parse_sketch(text: str) -> Sketch:
     features: list[SketchFeature] = []
     by_name: dict[str, int] = {}
     while lex.peek().text != "}":
-        name = lex.next().text
+        name_tok = lex.next()
+        name = name_tok.text
         if not _NAME_RE.fullmatch(name):
-            raise SketchError(f"bad feature name '{name}'")
+            raise _error(f"bad feature name '{name}'", name_tok)
         lex.next(":")
-        kind = lex.next().text
+        kind_tok = lex.next()
+        kind = kind_tok.text
         if kind not in ("bool", "num"):
-            raise SketchError(f"feature '{name}': kind must be bool or num, not '{kind}'")
+            raise _error(f"feature '{name}': kind must be bool or num, not '{kind}'", kind_tok)
         lex.next(";")
         if name in by_name:
-            raise SketchError(f"duplicate feature '{name}'")
+            raise _error(f"duplicate feature '{name}'", name_tok)
         by_name[name] = len(features)
         features.append(SketchFeature(name, kind))
     lex.next("}")
@@ -351,7 +353,7 @@ def parse_sketch(text: str) -> Sketch:
         rules.append(_parse_rule(lex, features, by_name))
     lex.next("}")
     if lex.peek().text:
-        raise SketchError(f"trailing token '{lex.peek().text}'")
+        raise _error(f"trailing token '{lex.peek().text}'", lex.peek())
     return Sketch(tuple(features), tuple(rules))
 
 
@@ -373,10 +375,11 @@ def _parse_side(lex: Tokens, features, by_name, effects: bool) -> dict[int, str]
         negated = lex.peek().text == "!"
         if negated:
             lex.next()
-        name = lex.next().text
+        name_tok = lex.next()
+        name = name_tok.text
         idx = by_name.get(name)
         if idx is None:
-            raise SketchError(f"undeclared feature '{name}'")
+            raise _error(f"undeclared feature '{name}'", name_tok)
         kind = features[idx].kind
         suffix = lex.peek().text
         if negated:
@@ -385,15 +388,15 @@ def _parse_side(lex: Tokens, features, by_name, effects: bool) -> dict[int, str]
             lex.next()
             op = ANYBOOL if kind == "bool" else ANYNUM
             if not effects:
-                raise SketchError(f"'{name}?' is only valid as an effect")
+                raise _error(f"'{name}?' is only valid as an effect", name_tok)
         elif suffix in _SUFFIX_OPS:
             lex.next()
             op = _SUFFIX_OPS[suffix]
         else:
             op = SET if effects else POS
-        _check_op(name, kind, op, effects)
+        _check_op(name_tok, kind, op, effects)
         if idx in out:
-            raise SketchError(f"feature '{name}' mentioned twice on one rule side")
+            raise _error(f"feature '{name}' mentioned twice on one rule side", name_tok)
         out[idx] = op
         if lex.peek().text == ",":
             lex.next()
@@ -401,7 +404,7 @@ def _parse_side(lex: Tokens, features, by_name, effects: bool) -> dict[int, str]
     return out
 
 
-def _check_op(name: str, kind: str, op: str, effects: bool):
+def _check_op(name: Token, kind: str, op: str, effects: bool):
     if effects:
         valid = _BOOL_EFFS if kind == "bool" else _NUM_EFFS
         side = "effect"
@@ -409,17 +412,4 @@ def _check_op(name: str, kind: str, op: str, effects: bool):
         valid = _BOOL_CONDS if kind == "bool" else _NUM_CONDS
         side = "condition"
     if op not in valid:
-        raise SketchError(f"'{name}' ({kind}): invalid {side} form")
-
-
-def format_sketch(sketch: Sketch) -> str:
-    feats = " ".join(f"{f.name}: {f.kind};" for f in sketch.features)
-    cond_txt = {POS: "{0}", NEG: "!{0}", EQ0: "{0}=0", GT0: "{0}>0"}
-    eff_txt = {SET: "{0}", UNSET: "!{0}", ANYBOOL: "{0}?", INC: "{0}++", DEC: "{0}--", ANYNUM: "{0}?"}
-    rule_texts = []
-    for rule in sketch.rules:
-        conds = ", ".join(cond_txt[op].format(sketch.features[i].name) for i, op in rule.conditions)
-        effs = ", ".join(eff_txt[op].format(sketch.features[i].name) for i, op in rule.effects)
-        rule_texts.append(f"{{ {conds} }} => {{ {effs} }};")
-    rules = " ".join(rule_texts)
-    return f"features {{ {feats} }}\nrules {{ {rules} }}\n"
+        raise _error(f"'{name.text}' ({kind}): invalid {side} form", name)

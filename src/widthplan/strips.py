@@ -208,17 +208,6 @@ def applicability_tables(problem: GroundProblem) -> ApplicabilityTables:
     return ApplicabilityTables((problem.n_atoms + 7) // 8, tuple(tables), all_actions)
 
 
-def successors(problem: GroundProblem, s: State) -> list[tuple[int, State]]:
-    """(action id, successor state) pairs of the actions applicable in `s`,
-    in ascending action-id order."""
-    actions = problem.actions
-    out = []
-    for aid in applicable_actions(problem, s):
-        act = actions[aid]
-        out.append((aid, (s & ~act.delete) | act.add))
-    return out
-
-
 def apply(problem: GroundProblem, s: State, action_id: int) -> State:
     """Successor state (s minus deletes, plus adds); rejects inapplicable actions."""
     act = problem.actions[action_id]

@@ -133,8 +133,7 @@ def test_solve_policy_reports_its_time(gen_dir, capsys):
 
 
 def test_solve_policy_counts_expansions_not_steps(gen_dir, capsys):
-    from widthplan import ground, parse_domain, parse_problem, replay
-    from widthplan.strips import successors
+    from widthplan import applicable_actions, ground, parse_domain, parse_problem, replay
 
     d = gen_dir["hanoi"]
     code = _solve(
@@ -149,7 +148,7 @@ def test_solve_policy_counts_expansions_not_steps(gen_dir, capsys):
     by_name = {str(a): a.action_id for a in g.actions}
     states = replay(g, [by_name[line] for line in lines[:-1]])
     assert stats["plan_length"] == stats["expanded"] == 7
-    assert stats["generated"] == sum(len(successors(g, s)) for s in states[:-1])
+    assert stats["generated"] == sum(len(applicable_actions(g, s)) for s in states[:-1])
 
 
 def test_solve_failure_exit_one(gen_dir, capsys):
@@ -324,6 +323,41 @@ def test_oracle_sketch_checks(gen_dir, capsys):
     assert main(["oracle", "feature-acyclic", *base, "--sketch", str(d / "r3.sketch")]) == 1
     assert main(["oracle", "sketch-width", *base, "--sketch", str(d / "r5.sketch")]) == 0
     assert "sketch_width=1" in capsys.readouterr().out
+
+
+def test_solve_policy_reports_the_step_cap(tmp_path, capsys, monkeypatch):
+    from widthplan import siw
+
+    assert main(["gen", "--family", "hanoi", "--params", "n=5", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(siw, "STEP_CAP", 3)
+    code = main([
+        "solve", "--alg", "policy", "--domain", str(tmp_path / "domain.pddl"),
+        "--problem", str(tmp_path / "problem.pddl"), "--sketch", str(tmp_path / "policy.sketch"),
+        "--features", str(tmp_path / "features.feat"),
+    ])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "verdict=cap" in out and "plan_length=3" in out
+    assert "expanded=3" in out and "generated=8" in out
+
+
+def test_oracle_sketch_width_unbounded_exits_one(tmp_path, capsys):
+    params = ["width=3", "height=2", "packages=2,5", "target=1", "start=4"]
+    assert main(["gen", "--family", "delivery", "--params", *params, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    argv = [
+        "oracle", "sketch-width", "--domain", str(tmp_path / "domain.pddl"),
+        "--problem", str(tmp_path / "problem.pddl"), "--features", str(tmp_path / "features.feat"),
+        "--sketch", str(tmp_path / "r4.sketch"),
+    ]
+    assert main([*argv, "--k-cap", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("sketch_width=unbounded k_cap=1 reason='subproblem from {")
+    assert out.endswith("has width above 1 or is a dead end'\n")
+    # the family is the one that k_cap = 2 bounds
+    assert main([*argv, "--k-cap", "2"]) == 0
+    assert capsys.readouterr().out == "sketch_width=2 subproblems=73\n"
 
 
 def test_input_error_exit_two(tmp_path, capsys):

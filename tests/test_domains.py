@@ -4,7 +4,7 @@ import pytest
 
 from widthplan import bfs_optimal, domains, is_goal, replay
 from widthplan.domains import DomainError, generate
-from widthplan.features import parse_features
+from widthplan.features import compile_feature, parse_features
 from widthplan.novelty import parse_tuple_set
 from widthplan.oracle import OracleError, enumerate_space, lower_bound_witness
 from widthplan.siw import run_policy
@@ -134,3 +134,13 @@ def test_generate_rejects_bad_input(family, params, message):
 def test_blocks_goal_on_held_block_accepted():
     g = ground_bundle(generate("blocks", {"towers": "a.b", "goal": "on:c:a", "held": "c"}))
     assert bfs_optimal(g).solved
+
+
+def test_bundled_features_compile_on_every_default_instance():
+    assert {bundle.family for bundle in DEFAULTS} == set(domains._PARAMS)
+    for bundle in DEFAULTS:
+        if bundle.features_text is None:
+            continue
+        g = ground_bundle(bundle)
+        for feature in parse_features(bundle.features_text):
+            compile_feature(feature, g)

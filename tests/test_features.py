@@ -18,7 +18,6 @@ from widthplan.features import (
     Pattern,
     boolean_projection,
     compile_feature,
-    evaluate,
     parse_features,
 )
 from tests.conftest import ground_bundle
@@ -129,7 +128,7 @@ def test_unregistered_builtin():
     bundle = domains.marbles([1])
     g = ground_bundle(bundle)
     with pytest.raises(FeatureError, match="unregistered"):
-        evaluate(phi.features[0], g, g.init)
+        compile_feature(phi.features[0], g)(g.init)
 
 
 def test_chain_cycle_detected():
@@ -138,7 +137,7 @@ def test_chain_cycle_detected():
     phi = parse_features("feature n num = chain_count(on, x, up)\n")
     cyclic = g.init | (1 << g.atom_id("on", ("x", "b1")))  # forge on(x,b1) over on(b1,x)
     with pytest.raises(FeatureError, match="cycle"):
-        evaluate(phi.features[0], g, cyclic)
+        compile_feature(phi.features[0], g)(cyclic)
 
 
 def test_parse_rejects_bad_declaration():
@@ -260,19 +259,20 @@ def test_chain_two_links_from_one_object():
 def test_missing_repeated_and_groundless_objects():
     g, _ = _delivery([3, 1])  # p1 at c3, p2 already at the target c1
     phi = parse_features(
-        "feature a num = missing(ppos(_, c1), p1, p1, zz)\n"  # p1 twice, zz no object
-        "feature b num = missing(ppos(_, c1), p2, p2, zz)\n"
-        "feature c num = missing(ppos(_, c1), p1, p2, zz)\n"
+        "feature a num = missing(ppos(_, c1), p1, p1, c2)\n"  # p1 twice, ppos(c2,c1) no atom
+        "feature b num = missing(ppos(_, c1), p2, p2, c2)\n"
+        "feature c num = missing(ppos(_, c1), p1, p2, c2)\n"
     )
     assert phi.valuation(g, g.init) == (3, 1, 2)
 
 
 def test_missing_counts_objects_with_no_numbered_atom():
-    # ppos(c2,c1) and ppos(p1,p2) are well formed and never true, so they are
-    # not numbered; like an unknown object, each counts as missing
+    # ppos(c2,c1), ppos(c3,c1) and ppos(p1,p2) are well formed and never
+    # true, so they are not numbered; each counts as missing (an object the
+    # problem does not have is rejected instead)
     g, _ = _delivery([3, 1])
     assert g.atom_id("ppos", ("c2", "c1")) is None
-    phi = parse_features("feature m num = missing(ppos(_, c1), p1, c2, zz)\n"
+    phi = parse_features("feature m num = missing(ppos(_, c1), p1, c2, c3)\n"
                          "feature n num = missing(ppos(p1, _), p2, c1)\n")
     assert phi.valuation(g, g.init) == (3, 2)
 
@@ -388,6 +388,39 @@ def test_feature_diagnostics(text, message):
     with pytest.raises(FeatureError) as info:
         parse_features(text)
     assert type(info.value) is FeatureError and str(info.value) == message
+
+
+# every name check of compile_feature, on delivery(3,3,[3,8],1,5); a
+# known object whose atom is never true is no error (see the missing tests)
+COMPILE_DIAGNOSTICS = [
+    ("count(nosuchpred(_))", "undeclared predicate 'nosuchpred'"),
+    ("count(pos(_, _))", "predicate 'pos' has arity 1, not 2"),
+    ("count(ppos(p9, _))", "unknown object 'p9'"),
+    ("missing(ppos(_, c1), p1, nosuch)", "unknown object 'nosuch'"),
+    ("missing(ppos(_, nosuch), p1)", "unknown object 'nosuch'"),
+    ("chain_count(nosuchpred, p1, up)", "undeclared predicate 'nosuchpred'"),
+    ("chain_count(pos, c1, up)", "predicate 'pos' has arity 1, not 2"),
+    ("chain_count(adjacent, nosuch, up)", "unknown object 'nosuch'"),
+    ("distance(nopos, adjacent, cells(c1))", "undeclared predicate 'nopos'"),
+    ("distance(adjacent, adjacent, cells(c1))", "predicate 'adjacent' has arity 2, not 1"),
+    ("distance(pos, noadj, cells(c1))", "undeclared predicate 'noadj'"),
+    ("distance(pos, pos, cells(c1))", "predicate 'pos' has arity 1, not 2"),
+    ("distance(pos, adjacent, cells(nosuchcell))", "unknown object 'nosuchcell'"),
+    ("distance(pos, adjacent, cells_of(nope(_, _)))", "undeclared predicate 'nope'"),
+    ("distance(pos, adjacent, cells_of(ppos(_, _), not c1, nosuch))", "unknown object 'nosuch'"),
+    ("distance(pos, adjacent, cells(c1), zero_if(holding(_, _)))",
+     "predicate 'holding' has arity 1, not 2"),
+    ("sum(count(pos(_)), nonzero(count(empty(x))))", "predicate 'empty' has arity 0, not 1"),
+]
+
+
+@pytest.mark.parametrize("body, message", COMPILE_DIAGNOSTICS, ids=[b for b, _ in COMPILE_DIAGNOSTICS])
+def test_compile_feature_rejects_what_the_problem_does_not_declare(delivery_small, body, message):
+    g, _ = delivery_small
+    feature = parse_features(_DECL + body).features[0]
+    with pytest.raises(FeatureError) as info:
+        compile_feature(feature, g)
+    assert type(info.value) is FeatureError and str(info.value) == f"feature 'a': {message}"
 
 
 def test_feature_tokens_are_words_or_single_characters():

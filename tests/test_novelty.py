@@ -18,7 +18,7 @@ from widthplan.novelty import (
     format_tuple_set,
     parse_tuple_set,
 )
-from widthplan.strips import atoms_of, successors
+from widthplan.strips import atoms_of
 from tests.conftest import ground_bundle
 
 
@@ -132,10 +132,10 @@ def test_universe_table_matches_every_tuple_set(name, k, picks):
     registered = [g.init]
     for pick_state, pick_succ in picks:
         parent = registered[pick_state % len(registered)]
-        succs = successors(g, parent)
-        if not succs:
+        aids = applicable_actions(g, parent)
+        if not aids:
             continue
-        succ = succs[pick_succ % len(succs)][1]
+        succ = apply(g, parent, aids[pick_succ % len(aids)])
         expected = reference.register(succ)
         assert with_delta.register(succ, parent ^ succ) == expected
         assert without.register(succ) == expected
@@ -289,6 +289,54 @@ def test_tuple_set_unknown_atom(qclear2):
     for text in ("hold(nosuch)", "nosuch(b1)", "hold(b1,b2)", "on(b1,b1)"):
         with pytest.raises(TupleSetError, match="unknown atom"):
             parse_tuple_set(text, g)
+
+
+# (text, line, message): every diagnostic of the tuple-set reader, on
+# blocks_clear(2)
+TUPLE_SET_DIAGNOSTICS = [
+    ("hold b1", 1, "malformed atom 'hold b1'"),
+    ("\n\nclear(x) & hold(b1\n", 3, "malformed atom 'hold(b1'"),
+    ("hold(b1) x", 1, "malformed atom 'hold(b1) x'"),
+    ("clear(x) &", 1, "malformed atom ''"),
+    ("hold(b1) & & clear(x)", 1, "malformed atom ''"),
+    ("hold(nosuch)", 1, "unknown atom 'hold(nosuch)'"),
+    ("# c\nnosuch(b1)", 2, "unknown atom 'nosuch(b1)'"),
+    ("hold(b1,b2)", 1, "unknown atom 'hold(b1,b2)'"),
+    ("hold()", 1, "unknown atom 'hold()'"),
+    ("on(b1,b1)", 1, "unknown atom 'on(b1,b1)'"),
+    ("(b1)", 1, "unknown atom '(b1)'"),
+    ("hold((b1)", 1, "unknown atom 'hold((b1)'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, line, message", TUPLE_SET_DIAGNOSTICS, ids=[repr(row[0]) for row in TUPLE_SET_DIAGNOSTICS],
+)
+def test_tuple_set_diagnostics(qclear2, text, line, message):
+    g, _ = qclear2
+    with pytest.raises(TupleSetError) as info:
+        parse_tuple_set(text, g)
+    assert type(info.value) is TupleSetError and str(info.value) == f"line {line}: {message}"
+
+
+# (text, tuples): what the line-split reader accepts, each tuple as its
+# atoms' names, in the order of the parsed set
+TUPLE_SET_PARSES = [
+    ("", []),
+    ("\n  \n# only a comment\n", []),
+    ("HOLD(B1) & Clear( x )", [["clear(x)", "hold(b1)"]]),
+    ("ontable(b1) # trailing comment\r\n\r\nhandempty()", [["handempty()"], ["ontable(b1)"]]),
+    ("hold(b1) & hold(b1)\nhold(b1)", [["hold(b1)"]]),
+    ("clear(x)&hold(b1)\nhold(b1) & clear(x)", [["clear(x)", "hold(b1)"]]),
+    ("hold(b1,)\non( b1 ,, x )", [["hold(b1)"], ["on(b1,x)"]]),
+]
+
+
+@pytest.mark.parametrize("text, tuples", TUPLE_SET_PARSES, ids=[repr(row[0]) for row in TUPLE_SET_PARSES])
+def test_tuple_set_reader_accepts(qclear2, text, tuples):
+    g, _ = qclear2
+    ts = parse_tuple_set(text, g)
+    assert [[str(g.atoms[i]) for i in t] for t in ts.tuples] == tuples and ts.never_true == ()
 
 
 def test_never_true_atom_makes_its_tuple_never_novel():

@@ -327,9 +327,7 @@ def test_width_bracket_consistency(qclear2):
 
 def test_iwphi_optimal_when_policy_valuations_form_envelope():
     from widthplan import iw_phi
-    from widthplan.siw import bind
     from widthplan.sketches import parse_sketch, relation
-    from widthplan.strips import successors
 
     def policy_closure(g, sketch, phi):
         # the initial state closed under the transitions that leave a
@@ -340,7 +338,8 @@ def test_iwphi_optimal_when_policy_valuations_form_envelope():
             if is_goal(g, s):
                 continue
             values = phi.valuation(g, s)
-            for _, succ in successors(g, s):
+            for aid in applicable_actions(g, s):
+                succ = apply(g, s, aid)
                 if succ not in seen and relation(sketch, values, phi.valuation(g, succ)):
                     seen.add(succ)
                     frontier.append(succ)
@@ -354,7 +353,7 @@ def test_iwphi_optimal_when_policy_valuations_form_envelope():
         bundle = make()
         g = ground_bundle(bundle)
         sketch = parse_sketch(bundle.sketches[key])
-        phi = bind(sketch, bundle_features(bundle))
+        phi = bundle_features(bundle).select(sketch.names_kinds)
         space = enumerate_space(g)
         reached = policy_closure(g, sketch, phi)
         valuations = {phi.valuation(g, s) for s in reached}
@@ -506,7 +505,7 @@ def test_rows_match_recomputed_successors(graph_space):
     for i, s in enumerate(space.states):
         aids = applicable_actions(g, s)
         expected = [space.index[apply(g, s, aid)] for aid in aids]
-        assert list(space.row(i)) == expected
+        assert list(space.targets[space.offsets[i]:space.offsets[i + 1]]) == expected
         assert space.successors(i) == list(zip(aids, expected))
 
 
@@ -517,7 +516,7 @@ def test_cost_is_breadth_first_and_does_not_decrease(graph_space):
     assert all(a <= b for a, b in zip(cost, cost[1:]))
     best_pred = [None] * len(space)
     for i in range(len(space)):
-        for j in space.row(i):
+        for j in space.targets[space.offsets[i]:space.offsets[i + 1]]:
             assert cost[j] <= cost[i] + 1
             if best_pred[j] is None or cost[i] < best_pred[j]:
                 best_pred[j] = cost[i]

@@ -5,10 +5,9 @@ import threading
 
 import pytest
 
-from widthplan import Outcome, bfs_optimal, domains, is_goal, replay
+from widthplan import Outcome, applicable_actions, bfs_optimal, domains, is_goal, replay
 from widthplan.siw import run_policy, siw_r
 from widthplan.sketches import parse_sketch, relation
-from widthplan.strips import successors
 from tests.conftest import bundle_features, bundle_sketch, ground_bundle
 
 
@@ -208,7 +207,9 @@ def test_run_policy_counts_states_expanded_and_successors(hanoi3):
     g, bundle = hanoi3
     run = run_policy(g, bundle_sketch(bundle), bundle_features(bundle))
     assert run.reached_goal and run.expanded == 7
-    assert run.generated == sum(len(successors(g, s)) for s in run.states if not is_goal(g, s))
+    assert run.generated == sum(
+        len(applicable_actions(g, s)) for s in run.states if not is_goal(g, s)
+    )
 
 
 def test_concurrent_siwr_share_one_problem_and_features():
@@ -260,3 +261,15 @@ def test_siwr_runs_share_compiled_kernels(delivery_small, monkeypatch):
     second = siw_r(g, sketch, phi, k_max=1)
     assert first.plan == second.plan
     assert sorted(compiled) == sorted(name for name, _ in sketch.names_kinds)
+
+
+def test_run_policy_stops_at_the_step_cap(monkeypatch):
+    from widthplan import siw
+
+    bundle = domains.hanoi_odd(5)
+    g = ground_bundle(bundle)
+    monkeypatch.setattr(siw, "STEP_CAP", 3)
+    run = run_policy(g, bundle_sketch(bundle), bundle_features(bundle))
+    assert run.status == "cap" and not run.reached_goal
+    assert (len(run.actions), run.expanded, run.generated) == (3, 3, 8)
+    assert run.states == replay(g, run.actions)

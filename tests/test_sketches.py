@@ -8,11 +8,19 @@ from hypothesis import strategies as st
 
 from widthplan.features import boolean_projection, parse_features
 from widthplan.oracle import enumerate_space
-from widthplan.siw import bind
 from widthplan.sketches import (
+    ANYBOOL,
+    ANYNUM,
+    DEC,
+    EQ0,
+    GT0,
+    INC,
+    NEG,
+    POS,
+    SET,
+    UNSET,
     SketchError,
     build_policy_graph,
-    format_sketch,
     parse_sketch,
     relation,
     sieve,
@@ -21,6 +29,20 @@ from widthplan.sketches import (
 
 CLEAR_SKETCH = "features { H: bool; n: num; }\nrules { { !H, n>0 } => { H, n-- }; }\n"
 DELIVERY_HEADER = "features { H: bool; p: num; t: num; u: num; }\n"
+
+
+def format_sketch(sketch) -> str:
+    """Sketch text that parses back to `sketch`."""
+    feats = " ".join(f"{f.name}: {f.kind};" for f in sketch.features)
+    cond_txt = {POS: "{0}", NEG: "!{0}", EQ0: "{0}=0", GT0: "{0}>0"}
+    eff_txt = {SET: "{0}", UNSET: "!{0}", ANYBOOL: "{0}?", INC: "{0}++", DEC: "{0}--", ANYNUM: "{0}?"}
+    rule_texts = []
+    for rule in sketch.rules:
+        conds = ", ".join(cond_txt[op].format(sketch.features[i].name) for i, op in rule.conditions)
+        effs = ", ".join(eff_txt[op].format(sketch.features[i].name) for i, op in rule.effects)
+        rule_texts.append(f"{{ {conds} }} => {{ {effs} }};")
+    rules = " ".join(rule_texts)
+    return f"features {{ {feats} }}\nrules {{ {rules} }}\n"
 
 
 def test_parse_single_rule():
@@ -168,7 +190,7 @@ def test_sieve_confluent_under_choice_order(delivery_small):
 def test_concrete_pairs_project_to_graph_edges(family, qclear2, delivery_one):
     problem, bundle = qclear2 if family == "qclear" else delivery_one
     sketch = parse_sketch(bundle.sketches["policy"])
-    phi = bind(sketch, parse_features(bundle.features_text))
+    phi = parse_features(bundle.features_text).select(sketch.names_kinds)
     graph = build_policy_graph(sketch)
     edge_set = {(u, v) for u, v, _ in graph.edges}
     space = enumerate_space(problem)
@@ -186,29 +208,40 @@ def test_concrete_pairs_project_to_graph_edges(family, qclear2, delivery_one):
 
 _ONE_NUM = "features { n: num; }\nrules { "
 
+
+def _row(text, message, line_added=False):
+    # a row's id is its message; a diagnostic raised past the tokenizer keeps
+    # the id it had before it named its line, its message without "line N: "
+    return pytest.param(text, message, id=message.split(": ", 1)[1] if line_added else message)
+
+
 # every diagnostic the sketch parser raises
 SKETCH_DIAGNOSTICS = [
-    ("", "unexpected end of sketch text"),
-    ("features {", "unexpected end of sketch text"),
-    ("features { n: num }", "line 1: expected ';', found '}'"),
-    ("features { ; }", "bad feature name ';'"),
-    ("features { n: int; }", "feature 'n': kind must be bool or num, not 'int'"),
-    ("features { n: num; n: bool; }", "duplicate feature 'n'"),
-    ("features { }\nrules { }\nx", "trailing token 'x'"),
-    ("features { 1n: num; }", "line 1: bad character '1'"),
-    (_ONE_NUM + "{ n>0 } = > { }; }", "line 2: bad character '='"),
+    _row("", "unexpected end of sketch text"),
+    _row("features {", "unexpected end of sketch text"),
+    _row("features { n: num }", "line 1: expected ';', found '}'"),
+    _row("features { ; }", "line 1: bad feature name ';'", line_added=True),
+    _row("features {\n  n: int; }", "line 2: feature 'n': kind must be bool or num, not 'int'",
+         line_added=True),
+    _row("features { n: num;\n  n: bool; }", "line 2: duplicate feature 'n'", line_added=True),
+    _row("features { }\nrules { }\nx", "line 3: trailing token 'x'", line_added=True),
+    _row("features { 1n: num; }", "line 1: bad character '1'"),
+    _row(_ONE_NUM + "{ n>0 } = > { }; }", "line 2: bad character '='"),
     # lines are counted as str.splitlines counts them
-    ("features { n: num; }\n# c\r\nrules { { n$ } => { }; }", "line 3: bad character '$'"),
-    ("features { n: num; }\f\x85rules { { n>0 } => { n++ } }", "line 3: expected ';', found '}'"),
-    ("features { H: bool; }\nrules { { H? } => { }; }", "'H?' is only valid as an effect"),
-    (_ONE_NUM + "{ n>0 } => { n-- }; { H } => { }; }", "undeclared feature 'H'"),
-    (_ONE_NUM + "{ n>0, n=0 } => { }; }", "feature 'n' mentioned twice on one rule side"),
-    (_ONE_NUM + "{ n } => { }; }", "'n' (num): invalid condition form"),
-    (_ONE_NUM + "{ n>0 } => { n }; }", "'n' (num): invalid effect form"),
+    _row("features { n: num; }\n# c\r\nrules { { n$ } => { }; }", "line 3: bad character '$'"),
+    _row("features { n: num; }\f\x85rules { { n>0 } => { n++ } }", "line 3: expected ';', found '}'"),
+    _row("features { H: bool; }\nrules { { H? } => { }; }", "line 2: 'H?' is only valid as an effect",
+         line_added=True),
+    _row(_ONE_NUM + "{ n>0 } => { n-- };\n{ H } => { }; }", "line 3: undeclared feature 'H'",
+         line_added=True),
+    _row(_ONE_NUM + "{ n>0,\n n=0 } => { }; }",
+         "line 3: feature 'n' mentioned twice on one rule side", line_added=True),
+    _row(_ONE_NUM + "{ n } => { }; }", "line 2: 'n' (num): invalid condition form", line_added=True),
+    _row(_ONE_NUM + "{ n>0 } =>\n{ n }; }", "line 3: 'n' (num): invalid effect form", line_added=True),
 ]
 
 
-@pytest.mark.parametrize("text, message", SKETCH_DIAGNOSTICS, ids=[m for _, m in SKETCH_DIAGNOSTICS])
+@pytest.mark.parametrize("text, message", SKETCH_DIAGNOSTICS)
 def test_sketch_diagnostics(text, message):
     with pytest.raises(SketchError) as info:
         parse_sketch(text)
@@ -237,7 +270,7 @@ INC_SKETCH = "features { n: num; m: num; }\nrules { { n>0 } => { n--, m++ }; { m
 
 
 def test_increment_parses_and_relates_only_growth():
-    from widthplan.sketches import DEC, GT0, INC, pair_satisfies
+    from widthplan.sketches import pair_satisfies
 
     sk = parse_sketch(INC_SKETCH)
     assert sk.rules[0].conditions == ((0, GT0),)
