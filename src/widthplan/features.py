@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .lexing import Token, Tokens
@@ -126,6 +126,7 @@ class Feature:
     name: str
     kind: str  # "bool" | "num"
     expr: Expr
+    line: int = field(default=0, compare=False)  # of the declaration; 0 if not parsed
 
 
 class FeatureSet:
@@ -213,11 +214,13 @@ def register_builtin(name: str):
 
 def compile_feature(feature: Feature, problem: GroundProblem) -> Kernel:
     """Kernel of `feature` on `problem`.  It raises FeatureError for a name
-    the problem does not declare, and the kernel for a bool value outside
-    {0, 1} or a negative value."""
+    the problem does not declare, naming the feature and the line of its
+    declaration, and the kernel for a bool value outside {0, 1} or a
+    negative value."""
     undeclared = next(_undeclared(feature.expr, problem), None)
     if undeclared is not None:
-        raise FeatureError(f"feature '{feature.name}': {undeclared}")
+        where = f"line {feature.line}: " if feature.line else ""
+        raise FeatureError(f"{where}feature '{feature.name}': {undeclared}")
     inner = _compile(feature.expr, problem)
     if isinstance(feature.expr, Nonzero) or (
         feature.kind == "num" and not _may_be_negative(feature.expr)
@@ -658,5 +661,5 @@ def parse_features(text: str) -> FeatureSet:
             raise ts.error(f"trailing '{ts.peek().text}'", ts.peek())
         if name in features:
             raise FeatureError(f"line {lineno}: duplicate feature name '{name}'")
-        features[name] = Feature(name, kind, expr)
+        features[name] = Feature(name, kind, expr, lineno)
     return FeatureSet(list(features.values()))

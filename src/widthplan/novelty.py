@@ -266,11 +266,11 @@ def parse_tuple_set(text: str, problem: GroundProblem) -> TupleSet:
 
 
 def _parse_atom_ref(text: str, problem: GroundProblem, lineno: int, never_true: dict) -> int:
-    if not text.endswith(")") or "(" not in text:
+    pred, _, argtext = text[:-1].partition("(")
+    args = tuple(a.strip().lower() for a in argtext.split(",")) if argtext.strip() else ()
+    if not text.endswith(")") or text.count("(") != 1 or text.count(")") != 1 or "" in args:
         raise TupleSetError(f"line {lineno}: malformed atom '{text}'")
-    pred, argtext = text[:-1].split("(", 1)
     pred = pred.strip().lower()
-    args = tuple(a.strip().lower() for a in argtext.split(",") if a.strip())
     aid = problem.atom_id(pred, args)
     if aid is not None:
         return aid

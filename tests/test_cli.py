@@ -111,6 +111,23 @@ def test_solve_siwr_hanoi_policy(gen_dir, capsys):
     assert "segment 0: k=0 len=1" in out
 
 
+def test_solve_siwr_names_the_line_of_an_undeclared_object(gen_dir, tmp_path, capsys):
+    d = gen_dir["delivery"]
+    features = tmp_path / "features.feat"
+    features.write_text(
+        "feature H bool = nonzero(count(holding(_)))\n"
+        "feature t num = distance(pos, adjacent, cells(nosuchcell))\n"
+        "feature p num = distance(pos, adjacent, cells_of(ppos(_, _), not c1), zero_if(holding(_)))\n"
+        "feature u num = missing(ppos(_, c1), p1, p2)\n"
+    )
+    capsys.readouterr()
+    code = _solve(gen_dir, "delivery", "--alg", "siwr", "--sketch", str(d / "r4.sketch"),
+                  "--features", str(features))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: feature 't': unknown object 'nosuchcell'\n")
+
+
 def test_solve_policy_alg(gen_dir, capsys):
     d = gen_dir["delivery"]
     code = _solve(

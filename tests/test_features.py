@@ -417,10 +417,11 @@ COMPILE_DIAGNOSTICS = [
 @pytest.mark.parametrize("body, message", COMPILE_DIAGNOSTICS, ids=[b for b, _ in COMPILE_DIAGNOSTICS])
 def test_compile_feature_rejects_what_the_problem_does_not_declare(delivery_small, body, message):
     g, _ = delivery_small
-    feature = parse_features(_DECL + body).features[0]
+    feature = parse_features("# the declaration is on line 2\n" + _DECL + body).features[0]
+    assert feature.line == 2 and feature == parse_features(_DECL + body).features[0]
     with pytest.raises(FeatureError) as info:
         compile_feature(feature, g)
-    assert type(info.value) is FeatureError and str(info.value) == f"feature 'a': {message}"
+    assert type(info.value) is FeatureError and str(info.value) == f"line 2: feature 'a': {message}"
 
 
 def test_feature_tokens_are_words_or_single_characters():

@@ -305,7 +305,10 @@ TUPLE_SET_DIAGNOSTICS = [
     ("hold()", 1, "unknown atom 'hold()'"),
     ("on(b1,b1)", 1, "unknown atom 'on(b1,b1)'"),
     ("(b1)", 1, "unknown atom '(b1)'"),
-    ("hold((b1)", 1, "unknown atom 'hold((b1)'"),
+    ("hold((b1)", 1, "malformed atom 'hold((b1)'"),
+    ("hold(b1))", 1, "malformed atom 'hold(b1))'"),
+    ("hold(b1,)", 1, "malformed atom 'hold(b1,)'"),
+    ("hold(b1)\non( b1 ,, x )", 2, "malformed atom 'on( b1 ,, x )'"),
 ]
 
 
@@ -328,7 +331,7 @@ TUPLE_SET_PARSES = [
     ("ontable(b1) # trailing comment\r\n\r\nhandempty()", [["handempty()"], ["ontable(b1)"]]),
     ("hold(b1) & hold(b1)\nhold(b1)", [["hold(b1)"]]),
     ("clear(x)&hold(b1)\nhold(b1) & clear(x)", [["clear(x)", "hold(b1)"]]),
-    ("hold(b1,)\non( b1 ,, x )", [["hold(b1)"], ["on(b1,x)"]]),
+    ("handempty( )\non( b1 , x )", [["handempty()"], ["on(b1,x)"]]),
 ]
 
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthplan import (
     applicable_actions,
@@ -15,12 +17,14 @@ from widthplan import (
     parse_domain,
     parse_problem,
     replay,
+    search,
     state_from_atoms,
 )
 from widthplan.strips import applicability_tables
 from tests.conftest import (
     EMPTY_ROOT_DOMAIN, EMPTY_ROOT_PROBLEM, NO_ACTION_DOMAIN, NO_ACTION_PROBLEM, ground_bundle,
 )
+from tests.test_oracle import _small_bundles
 
 
 def _blocks2():
@@ -164,6 +168,51 @@ def test_applicable_matches_precondition_scan(bundle):
         expected = [a.action_id for a in g.actions if a.pre & s == a.pre]
         assert applicable_actions(g, s) == expected
 
+
+@settings(max_examples=60, deadline=None)
+@given(bundle=_small_bundles(), data=st.data())
+def test_watch_index_files_each_action_once_and_matches_precondition_scan(bundle, data):
+    if bundle is None:
+        return
+    g = ground_bundle(bundle)
+    filed = [(aid, i) for i, bucket in enumerate(g._watch_buckets) for _, aid in bucket]
+    filed += [(aid, None) for _, aid in g._watch_always]
+    assert sorted(aid for aid, _ in filed) == list(range(len(g.actions)))
+    for aid, i in filed:
+        pre = g.actions[aid].pre
+        assert (pre & g.fluent_mask == 0) if i is None else (pre & g.fluent_mask) >> i & 1
+    assert g._watched == state_from_atoms(i for i, b in enumerate(g._watch_buckets) if b)
+    # arbitrary states, static atoms true or false
+    everything = (1 << g.n_atoms) - 1
+    drawn = st.integers(0, everything)
+    for s in [0, g.init, g.init & g.fluent_mask, everything] + [data.draw(drawn) for _ in range(20)]:
+        assert applicable_actions(g, s) == [a.action_id for a in g.actions if a.pre & s == a.pre]
+
+
+@pytest.mark.parametrize("bundle, k, bound", [
+    # IW(2) expands 7,228 states, with 7.1 applicable actions each
+    pytest.param(domains.blocks_on(5, 5), 2, 15, id="iw2-blocks-on-5-5"),
+    # IW(1) expands 528 states, with 20.8 applicable actions each
+    pytest.param(domains.blocks_clear(32), 1, 40, id="iw1-blocks-clear-32"),
+])
+def test_watch_index_keeps_scans_short(bundle, k, bound, monkeypatch):
+    # the mean number of precondition tests per expansion: the always-list
+    # plus the buckets of the watched atoms the state holds.  Watching an
+    # atom most states hold, such as clear(y) in place of hold(x) for
+    # stack(x,y), makes these scans 51 and 349 long.
+    g = ground_bundle(bundle)
+    states = []
+
+    def recording(problem, s):
+        states.append(s)
+        return applicable_actions(problem, s)
+
+    monkeypatch.setattr(search, "applicable_actions", recording)
+    search.iw_k(g, k)
+    buckets = g._watch_buckets
+    checked = [len(g._watch_always) + sum(len(buckets[i]) for i in atoms_of(s & g._watched))
+               for s in states]
+    assert sum(checked) / len(checked) <= bound
 
 
 @pytest.mark.parametrize("load", [
