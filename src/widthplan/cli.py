@@ -77,10 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.set_defaults(handler=_cmd_oracle)
 
     gen = sub.add_parser("gen", help="emit a built-in instance bundle")
-    gen.add_argument("--family", required=True, choices=[
-        "blocks-clear", "blocks-on", "blocks", "grid", "grid2",
-        "delivery", "marbles", "hanoi",
-    ])
+    gen.add_argument("--family", required=True, choices=list(domains.FAMILY_PARAMS))
     gen.add_argument("--params", nargs="*", default=[], metavar="KEY=VALUE")
     gen.add_argument("--out", required=True)
     gen.set_defaults(handler=_cmd_gen)

@@ -536,7 +536,7 @@ def hanoi_odd(n_disks: int) -> Bundle:
 
 
 # the parameters each family takes
-_PARAMS = {
+FAMILY_PARAMS = {
     "blocks-clear": {"l", "held"},
     "blocks-on": {"l", "m"},
     "blocks": {"towers", "goal", "held"},
@@ -549,9 +549,9 @@ _PARAMS = {
 
 
 def generate(family: str, params: dict[str, str]) -> Bundle:
-    if family not in _PARAMS:
+    if family not in FAMILY_PARAMS:
         raise DomainError(f"unknown family '{family}'")
-    unknown = sorted(set(params) - _PARAMS[family])
+    unknown = sorted(set(params) - FAMILY_PARAMS[family])
     if unknown:
         raise DomainError(f"unknown parameter '{unknown[0]}' for family '{family}'")
 
@@ -560,30 +560,39 @@ def generate(family: str, params: dict[str, str]) -> Bundle:
             raise DomainError(f"missing parameter '{key}'")
         return params[key]
 
-    def ints(key, default=None):
-        if key not in params and default is not None:
-            return default
-        return int(text(key))
+    def ints(key, count=None):
+        """The comma-separated integers of `key`: `count` of them, or any
+        number, empty items skipped, when `count` is None."""
+        raw = text(key)
+        items = raw.split(",") if count else [v for v in raw.split(",") if v]
+        try:
+            if count in (None, len(items)):
+                return [int(v) for v in items]
+        except ValueError:
+            pass
+        want = {None: "comma-separated integers", 1: "an integer", 2: "two comma-separated integers"}
+        raise DomainError(f"parameter '{key}' needs {want[count]}, got '{raw}'")
+
+    def num(key, default=None):
+        return default if key not in params and default is not None else ints(key, 1)[0]
 
     if family == "blocks-clear":
         held = params.get("held")
-        return blocks_clear(ints("l"), holding=held)
+        return blocks_clear(num("l"), holding=held)
     if family == "blocks-on":
-        return blocks_on(ints("l"), ints("m"))
+        return blocks_on(num("l"), num("m"))
     if family == "blocks":
         towers = [t.split(".") for t in text("towers").split(";") if t]
         goal = tuple(text("goal").replace(":", ",").split(","))
         return blocks(towers, goal, holding=params.get("held"))
     if family == "grid":
-        return grid(ints("width"), ints("height"), ints("start"), ints("goal"))
+        return grid(num("width"), num("height"), num("start"), num("goal"))
     if family == "grid2":
-        sx, sy = (int(v) for v in text("start").split(","))
-        gx, gy = (int(v) for v in text("goal").split(","))
-        return grid2(ints("width"), ints("height"), (sx, sy), (gx, gy))
+        start, goal = ints("start", 2), ints("goal", 2)
+        return grid2(num("width"), num("height"), tuple(start), tuple(goal))
     if family == "delivery":
-        cells = [int(v) for v in text("packages").split(",") if v]
-        return delivery(ints("width"), ints("height"), cells, ints("target"), ints("start"))
+        cells = ints("packages")
+        return delivery(num("width"), num("height"), cells, num("target"), num("start"))
     if family == "marbles":
-        counts = [int(v) for v in text("counts").split(",") if v]
-        return marbles(counts)
-    return hanoi(ints("n"), ints("from", 1), ints("to", 3))  # the last family left
+        return marbles(ints("counts"))
+    return hanoi(num("n"), num("from", 1), num("to", 3))  # the last family left

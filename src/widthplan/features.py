@@ -213,15 +213,15 @@ def register_builtin(name: str):
 
 
 def compile_feature(feature: Feature, problem: GroundProblem) -> Kernel:
-    """Kernel of `feature` on `problem`.  It raises FeatureError for a name
-    the problem does not declare, naming the feature and the line of its
-    declaration, and the kernel for a bool value outside {0, 1} or a
-    negative value."""
-    undeclared = next(_undeclared(feature.expr, problem), None)
-    if undeclared is not None:
+    """Kernel of `feature` on `problem`.  It raises FeatureError for what
+    does not compile, such as a name the problem does not declare, naming
+    the feature and the line of its declaration; the kernel raises it for a
+    bool value outside {0, 1} or a negative value."""
+    try:
+        inner = _compile(feature.expr, problem)
+    except FeatureError as exc:
         where = f"line {feature.line}: " if feature.line else ""
-        raise FeatureError(f"{where}feature '{feature.name}': {undeclared}")
-    inner = _compile(feature.expr, problem)
+        raise FeatureError(f"{where}feature '{feature.name}': {exc}") from None
     if isinstance(feature.expr, Nonzero) or (
         feature.kind == "num" and not _may_be_negative(feature.expr)
     ):
@@ -239,47 +239,18 @@ def compile_feature(feature: Feature, problem: GroundProblem) -> Kernel:
     return kernel
 
 
-def _undeclared(expr: Expr, problem: GroundProblem):
-    """What `expr` names that `problem` does not declare: a predicate, one
-    used at another arity, or an object.  A declared atom that is never
-    true is not among them: a `count` of it is 0, and `missing` counts it."""
-    if isinstance(expr, Sum):
-        yield from _undeclared(expr.left, problem)
-        yield from _undeclared(expr.right, problem)
-        return
-    if isinstance(expr, Nonzero):
-        yield from _undeclared(expr.inner, problem)
-        return
-    arities, objects = [], []  # (predicate, arity used) and object names
-    if isinstance(expr, Count):
-        patterns = [expr.pattern]
-    elif isinstance(expr, Missing):
-        patterns, objects = [expr.pattern], list(expr.objects)
-    elif isinstance(expr, ChainCount):
-        patterns, arities, objects = [], [(expr.predicate, 2)], [expr.seed]
-    elif isinstance(expr, Distance):
-        patterns = [] if expr.zero_if is None else [expr.zero_if]
-        arities = [(expr.pos_predicate, 1), (expr.adj_predicate, 2)]
-        if isinstance(expr.targets, CellTargets):
-            objects = list(expr.targets.objects)
-        else:
-            patterns.append(expr.targets.pattern)
-            objects = list(expr.targets.exclude)
-    else:  # a builtin declares its own names
-        return
-    for p in patterns:
-        arities.append((p.predicate, len(p.args)))
-        objects += [a for a in p.args if a != "_"]
-    for pred, n in arities:
-        declared = problem.predicates.get(pred)
-        if declared is None:
-            yield f"undeclared predicate '{pred}'"
-        elif declared != n:
-            yield f"predicate '{pred}' has arity {declared}, not {n}"
-    known = set(problem.objects)
+def _declared(problem: GroundProblem, predicate: str, arity: int, objects) -> None:
+    """Raise FeatureError unless `problem` declares `predicate` at `arity`
+    and every one of `objects`.  A declared atom that is never true passes:
+    a `count` of it is 0, and `missing` counts it."""
+    declared = problem.predicates.get(predicate)
+    if declared is None:
+        raise FeatureError(f"undeclared predicate '{predicate}'")
+    if declared != arity:
+        raise FeatureError(f"predicate '{predicate}' has arity {declared}, not {arity}")
     for obj in objects:
-        if obj not in known:
-            yield f"unknown object '{obj}'"
+        if obj not in problem.objects:
+            raise FeatureError(f"unknown object '{obj}'")
 
 
 def _may_be_negative(expr: Expr) -> bool:
@@ -317,6 +288,7 @@ def _compile(expr: Expr, problem: GroundProblem) -> Kernel:
 
 
 def _pattern_mask(problem: GroundProblem, pattern: Pattern) -> State:
+    _declared(problem, pattern.predicate, len(pattern.args), [a for a in pattern.args if a != "_"])
     return state_from_atoms(
         aid for aid in problem.atoms_by_predicate.get(pattern.predicate, ())
         if pattern.matches(problem.atoms[aid].args)
@@ -325,6 +297,8 @@ def _pattern_mask(problem: GroundProblem, pattern: Pattern) -> State:
 
 def _compile_missing(expr: Missing, problem: GroundProblem) -> Kernel:
     hole = expr.pattern.args.index("_")
+    others = expr.pattern.args[:hole] + expr.pattern.args[hole + 1:]
+    _declared(problem, expr.pattern.predicate, len(expr.pattern.args), expr.objects + others)
     bits = []
     for obj in expr.objects:
         args = list(expr.pattern.args)
@@ -341,6 +315,7 @@ def _compile_missing(expr: Missing, problem: GroundProblem) -> Kernel:
 
 def _compile_chain(expr: ChainCount, problem: GroundProblem) -> Kernel:
     # "up" counts objects stacked over the seed via pred(above, below).
+    _declared(problem, expr.predicate, 2, (expr.seed,))
     ids = problem.atoms_by_predicate.get(expr.predicate, ())
     mask = state_from_atoms(ids)
     link: dict[int, tuple[str, str]] = {}  # atom id -> (from, to)
@@ -397,24 +372,28 @@ def _compile_distance(expr: Distance, problem: GroundProblem) -> Kernel:
     facts (a reachable one only when the adjacency predicate is fluent) gets
     a BFS over its own facts, and nothing of it is kept."""
     atoms = problem.atoms
+    spec = expr.targets
+    cells = isinstance(spec, CellTargets)
     pos_mask = _pattern_mask(problem, Pattern(expr.pos_predicate, ("_",)))
+    # the targets are nodes of the adjacency graph
+    _declared(problem, expr.adj_predicate, 2, spec.objects if cells else spec.exclude)
     zero_mask = _pattern_mask(problem, expr.zero_if) if expr.zero_if is not None else 0
     adj_mask = state_from_atoms(problem.atoms_by_predicate.get(expr.adj_predicate, ()))
     base = problem.init & adj_mask
     base_graph = _graph(problem, base)
     source_of = {aid: atoms[aid].args[0] for aid in atoms_of(pos_mask)}
     rows = {src: _bfs(base_graph, src) for src in source_of.values()}
-    if isinstance(expr.targets, CellTargets):
-        fixed: tuple[str, ...] | None = expr.targets.objects
+    if cells:
+        fixed: tuple[str, ...] | None = spec.objects
         target_mask = 0
     else:
         fixed = None
-        exclude = set(expr.targets.exclude)
+        exclude = set(spec.exclude)
         target_mask = state_from_atoms(
-            aid for aid in atoms_of(_pattern_mask(problem, expr.targets.pattern))
+            aid for aid in atoms_of(_pattern_mask(problem, spec.pattern))
             if atoms[aid].args[-1] not in exclude
         )
-    pos_pred, targets_desc = expr.pos_predicate, expr.targets
+    pos_pred = expr.pos_predicate
 
     def kernel(s: State) -> int:
         if s & zero_mask:
@@ -433,7 +412,7 @@ def _compile_distance(expr: Distance, problem: GroundProblem) -> Kernel:
         best = min((row[t] for t in targets if t in row), default=None)
         if best is None:
             raise FeatureError(
-                f"distance: no target of {targets_desc} reachable from '{source}'"
+                f"distance: no target of {spec} reachable from '{source}'"
             )
         return best
 

@@ -53,9 +53,6 @@ class Sketch:
     def names_kinds(self) -> list[tuple[str, str]]:
         return [(f.name, f.kind) for f in self.features]
 
-    def numeric_indices(self) -> list[int]:
-        return [i for i, f in enumerate(self.features) if f.kind == "num"]
-
 
 def pair_satisfies(rule: Rule, fs: tuple[int, ...], fs2: tuple[int, ...]) -> bool:
     """True iff `fs` meets the conditions and the change to `fs2` matches the
@@ -107,70 +104,43 @@ class PolicyGraph:
     n_vertices: int
     edges: list[tuple[int, int, int]]  # (source vertex, target vertex, rule index)
 
-    def edge_label(self, edge_idx: int) -> tuple[tuple[int, str], ...]:
-        return self.sketch.rules[self.edges[edge_idx][2]].effects
-
 
 MAX_POLICY_FEATURES = 16  # the graph has 2**n vertices over n sketch features
 
 
+def _mask(pairs: tuple[tuple[int, str], ...], *ops: str) -> int:
+    """The bits of the features that `pairs` gives one of `ops`."""
+    return sum(1 << i for i, op in pairs if op in ops)
+
+
 def build_policy_graph(sketch: Sketch) -> PolicyGraph:
+    """Each rule is five masks.  A vertex v passes when it holds every bit
+    of `need` and none of `forbid`; its targets keep the bits of `keep`,
+    turn on `sets` and take every combination of `free`.  INC and UNSET
+    clear their bit: a value that grew is not 0."""
     n = len(sketch.features)
     if n > MAX_POLICY_FEATURES:
         raise SketchError(f"{n} features exceed the policy-graph cap {MAX_POLICY_FEATURES}")
-    kinds = [f.kind for f in sketch.features]
     edges: list[tuple[int, int, int]] = []
     for ridx, rule in enumerate(sketch.rules):
-        eff = dict(rule.effects)
+        conds, effs = rule.conditions, rule.effects
+        need = _mask(conds, POS, EQ0)
+        forbid = _mask(conds, NEG, GT0) | _mask(effs, DEC)  # n-- needs n > 0
+        sets = _mask(effs, SET)
+        free = _mask(effs, ANYBOOL, ANYNUM, DEC)
+        keep = ~_mask(effs, *_BOOL_EFFS, *_NUM_EFFS)
         for v in range(1 << n):
-            if not _vertex_satisfies(rule, v, kinds):
+            if v & need != need or v & forbid:
                 continue
-            # Determine target bits: fixed, copied, or free.
-            fixed_mask = 0
-            fixed_val = 0
-            free_mask = 0
-            ok = True
-            for i in range(n):
-                bit = (v >> i) & 1
-                op = eff.get(i)
-                if op is None:
-                    fixed_mask |= 1 << i
-                    fixed_val |= bit << i
-                elif op == SET:
-                    fixed_mask |= 1 << i
-                    fixed_val |= 1 << i
-                elif op == UNSET:
-                    fixed_mask |= 1 << i
-                elif op == INC:
-                    # target value is positive, so its n=0 bit is false
-                    fixed_mask |= 1 << i
-                elif op == DEC:
-                    if bit:  # source requires n > 0
-                        ok = False
-                        break
-                    free_mask |= 1 << i
-                else:  # ANYBOOL / ANYNUM
-                    free_mask |= 1 << i
-            if not ok:
-                continue
-            sub = free_mask
+            fixed = v & keep | sets
+            sub = free
             while True:
-                edges.append((v, fixed_val | sub, ridx))
+                edges.append((v, fixed | sub, ridx))
                 if sub == 0:
                     break
-                sub = (sub - 1) & free_mask
+                sub = (sub - 1) & free
     edges.sort()
     return PolicyGraph(sketch, 1 << n, edges)
-
-
-def _vertex_satisfies(rule: Rule, v: int, kinds: list[str]) -> bool:
-    for i, op in rule.conditions:
-        bit = (v >> i) & 1
-        if op in (POS, EQ0) and not bit:
-            return False
-        if op in (NEG, GT0) and bit:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +223,9 @@ def sieve(graph: PolicyGraph, choice=None) -> SieveResult:
     in deterministic order); any choice leads to the same verdict.
     """
     sketch = graph.sketch
-    numeric = sketch.numeric_indices()
+    # per rule: the features it decrements, and those it increments or leaves unknown
+    dec = [_mask(rule.effects, DEC) for rule in sketch.rules]
+    grow = [_mask(rule.effects, INC, ANYNUM) for rule in sketch.rules]
     alive = [True] * len(graph.edges)
     steps: list[SieveStep] = []
 
@@ -277,20 +249,16 @@ def sieve(graph: PolicyGraph, choice=None) -> SieveResult:
 
         candidates = []
         for ci in sorted(internal, key=lambda c: sccs[c][0]):
-            edge_idxs = internal[ci]
-            for n in numeric:
-                dec_edges = []
-                blocked = False
-                for idx in edge_idxs:
-                    ops = dict(graph.edge_label(idx))
-                    op = ops.get(n)
-                    if op == DEC:
-                        dec_edges.append(idx)
-                    elif op in (INC, ANYNUM):
-                        blocked = True
-                        break
-                if not blocked and dec_edges:
-                    candidates.append((tuple(sccs[ci]), n, tuple(dec_edges)))
+            edge_rules = [(idx, graph.edges[idx][2]) for idx in internal[ci]]
+            grown = 0
+            for _idx, r in edge_rules:
+                grown |= grow[r]
+            for n in range(len(sketch.features)):
+                if grown >> n & 1:
+                    continue
+                dec_edges = tuple(idx for idx, r in edge_rules if dec[r] >> n & 1)
+                if dec_edges:
+                    candidates.append((tuple(sccs[ci]), n, dec_edges))
         if not candidates:
             return SieveResult(False, steps, [i for i, a in enumerate(alive) if a])
 

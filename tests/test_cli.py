@@ -111,21 +111,32 @@ def test_solve_siwr_hanoi_policy(gen_dir, capsys):
     assert "segment 0: k=0 len=1" in out
 
 
-def test_solve_siwr_names_the_line_of_an_undeclared_object(gen_dir, tmp_path, capsys):
+def _siwr_error_with_line_2(gen_dir, tmp_path, capsys, line_2):
+    """Exit code and stderr of SIW_R r4 on Delivery with feature t on line 2."""
     d = gen_dir["delivery"]
     features = tmp_path / "features.feat"
     features.write_text(
         "feature H bool = nonzero(count(holding(_)))\n"
-        "feature t num = distance(pos, adjacent, cells(nosuchcell))\n"
+        f"{line_2}\n"
         "feature p num = distance(pos, adjacent, cells_of(ppos(_, _), not c1), zero_if(holding(_)))\n"
         "feature u num = missing(ppos(_, c1), p1, p2)\n"
     )
     capsys.readouterr()
     code = _solve(gen_dir, "delivery", "--alg", "siwr", "--sketch", str(d / "r4.sketch"),
                   "--features", str(features))
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: line 2: feature 't': unknown object 'nosuchcell'\n")
+    return code, capsys.readouterr().err
+
+
+def test_solve_siwr_names_the_line_of_an_undeclared_object(gen_dir, tmp_path, capsys):
+    line_2 = "feature t num = distance(pos, adjacent, cells(nosuchcell))"
+    assert _siwr_error_with_line_2(gen_dir, tmp_path, capsys, line_2) == (
+        2, "error: line 2: feature 't': unknown object 'nosuchcell'\n")
+
+
+def test_solve_siwr_names_the_line_of_an_unregistered_builtin(gen_dir, tmp_path, capsys):
+    line_2 = "feature t num = builtin(nope)"
+    assert _siwr_error_with_line_2(gen_dir, tmp_path, capsys, line_2) == (
+        2, "error: line 2: feature 't': unregistered builtin 'nope'\n")
 
 
 def test_solve_policy_alg(gen_dir, capsys):
@@ -587,6 +598,13 @@ def test_solve_rejected_argv_exits_two(gen_dir, data, fault, alg):
     assert code == 2, (argv, code)
     assert "Traceback" not in err
     assert err.startswith("usage:") and "widthplan solve: error:" in err, (argv, err)
+
+
+def test_gen_names_a_malformed_integer_parameter(tmp_path, capsys):
+    params = ["width=3", "height=3", "start=1", "goal=2,2"]
+    assert main(["gen", "--family", "grid2", "--params", *params, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: parameter 'start' needs two comma-separated integers, got '1'\n")
 
 
 @pytest.mark.parametrize("family", ["blocks", "grid2", "delivery", "marbles"])

@@ -124,6 +124,16 @@ def test_invalid_specs_rejected():
         ("hanoi", {"n": "3", "form": "2"}, "unknown parameter 'form' for family 'hanoi'"),
         ("grid", {"width": "3", "height": "1", "start": "1", "goal": "3", "l": "1"},
          "unknown parameter 'l'"),
+        # an integer parameter names itself and the text it got
+        ("grid2", {"width": "3", "height": "3", "start": "1", "goal": "2,2"},
+         "^parameter 'start' needs two comma-separated integers, got '1'$"),
+        ("grid2", {"width": "3", "height": "3", "start": "1,1,1", "goal": "2,2"},
+         "^parameter 'start' needs two comma-separated integers, got '1,1,1'$"),
+        ("grid2", {"width": "x", "height": "3", "start": "1,1", "goal": "2,2"},
+         "^parameter 'width' needs an integer, got 'x'$"),
+        ("blocks-on", {"l": "1,2", "m": "2"}, "^parameter 'l' needs an integer, got '1,2'$"),
+        ("delivery", {"width": "3", "height": "3", "packages": "1,x", "target": "1", "start": "1"},
+         "^parameter 'packages' needs comma-separated integers, got '1,x'$"),
     ],
 )
 def test_generate_rejects_bad_input(family, params, message):
@@ -137,7 +147,7 @@ def test_blocks_goal_on_held_block_accepted():
 
 
 def test_bundled_features_compile_on_every_default_instance():
-    assert {bundle.family for bundle in DEFAULTS} == set(domains._PARAMS)
+    assert {bundle.family for bundle in DEFAULTS} == set(domains.FAMILY_PARAMS)
     for bundle in DEFAULTS:
         if bundle.features_text is None:
             continue

@@ -390,8 +390,9 @@ def test_feature_diagnostics(text, message):
     assert type(info.value) is FeatureError and str(info.value) == message
 
 
-# every name check of compile_feature, on delivery(3,3,[3,8],1,5); a
-# known object whose atom is never true is no error (see the missing tests)
+# every compile-time error of compile_feature, on delivery(3,3,[3,8],1,5);
+# a known object whose atom is never true is no error (see the missing
+# tests), and of two faults the first the compile walk meets is reported
 COMPILE_DIAGNOSTICS = [
     ("count(nosuchpred(_))", "undeclared predicate 'nosuchpred'"),
     ("count(pos(_, _))", "predicate 'pos' has arity 1, not 2"),
@@ -411,6 +412,10 @@ COMPILE_DIAGNOSTICS = [
     ("distance(pos, adjacent, cells(c1), zero_if(holding(_, _)))",
      "predicate 'holding' has arity 1, not 2"),
     ("sum(count(pos(_)), nonzero(count(empty(x))))", "predicate 'empty' has arity 0, not 1"),
+    ("builtin(nope)", "unregistered builtin 'nope'"),
+    ("sum(builtin(nope), count(nosuchpred(_)))", "unregistered builtin 'nope'"),
+    ("distance(pos, adjacent, cells_of(nope(_, _)), zero_if(holding(nosuch)))",
+     "unknown object 'nosuch'"),
 ]
 
 
@@ -448,7 +453,7 @@ def test_feature_set_names_a_duplicate_feature():
 
 def test_compile_rejects_an_unknown_expression(qclear2):
     g, _ = qclear2
-    with pytest.raises(FeatureError, match=r"^unknown expression 'x'$"):
+    with pytest.raises(FeatureError, match=r"^feature 'a': unknown expression 'x'$"):
         compile_feature(Feature("a", "num", "x"), g)
 
 

@@ -19,7 +19,10 @@ from widthplan.sketches import (
     POS,
     SET,
     UNSET,
+    Rule,
+    Sketch,
     SketchError,
+    SketchFeature,
     build_policy_graph,
     parse_sketch,
     relation,
@@ -298,3 +301,136 @@ def test_sieve_keeps_a_decrement_beside_an_increment():
     assert result.remaining_edges == list(range(len(graph.edges)))
     inside = [i for i in result.remaining_edges if graph.edges[i][:2] == (0, 0)]
     assert {graph.edges[i][2] for i in inside} == {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# The policy graph and the sieve as they were before each rule became masks:
+# the builder read every rule's ops at every vertex, the sieve every edge's
+# effects for every numerical feature.  The masks must give the same edges
+# and the same sieve runs.
+
+
+def _old_policy_edges(sketch):
+    n = len(sketch.features)
+    edges = []
+    for ridx, rule in enumerate(sketch.rules):
+        eff = dict(rule.effects)
+        for v in range(1 << n):
+            if any(
+                (op in (POS, EQ0) and not (v >> i) & 1) or (op in (NEG, GT0) and (v >> i) & 1)
+                for i, op in rule.conditions
+            ):
+                continue
+            fixed_mask = fixed_val = free_mask = 0
+            ok = True
+            for i in range(n):
+                bit = (v >> i) & 1
+                op = eff.get(i)
+                if op is None:
+                    fixed_mask |= 1 << i
+                    fixed_val |= bit << i
+                elif op == SET:
+                    fixed_mask |= 1 << i
+                    fixed_val |= 1 << i
+                elif op in (UNSET, INC):
+                    fixed_mask |= 1 << i
+                elif op == DEC:
+                    if bit:
+                        ok = False
+                        break
+                    free_mask |= 1 << i
+                else:
+                    free_mask |= 1 << i
+            if not ok:
+                continue
+            sub = free_mask
+            while True:
+                edges.append((v, fixed_val | sub, ridx))
+                if sub == 0:
+                    break
+                sub = (sub - 1) & free_mask
+    edges.sort()
+    return edges
+
+
+def _old_sieve(sketch, edges, choice=None):
+    """(accepted, steps as (component, feature, removed) tuples, remaining edges)"""
+    n_vertices = 1 << len(sketch.features)
+    numeric = [i for i, f in enumerate(sketch.features) if f.kind == "num"]
+    alive = [True] * len(edges)
+    steps = []
+    while True:
+        succ = [[] for _ in range(n_vertices)]
+        for idx, (u, v, _r) in enumerate(edges):
+            if alive[idx]:
+                succ[u].append(v)
+        sccs = strongly_connected_components(n_vertices, succ)
+        comp_of = [0] * n_vertices
+        for ci, scc in enumerate(sccs):
+            for v in scc:
+                comp_of[v] = ci
+        internal = {}
+        for idx, (u, v, _r) in enumerate(edges):
+            if alive[idx] and comp_of[u] == comp_of[v]:
+                internal.setdefault(comp_of[u], []).append(idx)
+        if not internal:
+            break
+        candidates = []
+        for ci in sorted(internal, key=lambda c: sccs[c][0]):
+            for n in numeric:
+                dec_edges = []
+                blocked = False
+                for idx in internal[ci]:
+                    op = dict(sketch.rules[edges[idx][2]].effects).get(n)
+                    if op == DEC:
+                        dec_edges.append(idx)
+                    elif op in (INC, ANYNUM):
+                        blocked = True
+                        break
+                if not blocked and dec_edges:
+                    candidates.append((tuple(sccs[ci]), n, tuple(dec_edges)))
+        if not candidates:
+            return False, steps, [i for i, a in enumerate(alive) if a]
+        step = candidates[0] if choice is None else choice(candidates)
+        for idx in step[2]:
+            alive[idx] = False
+        steps.append(step)
+    return True, steps, [i for i, a in enumerate(alive) if a]
+
+
+_OPS = {  # kind -> (condition ops, effect ops); None leaves the feature out
+    "bool": ([None, None, None, POS, NEG], [None, None, None, SET, UNSET, ANYBOOL]),
+    "num": ([None, None, None, EQ0, GT0], [None, None, None, INC, DEC, ANYNUM]),
+}
+
+
+@st.composite
+def _parsed_sketches(draw):
+    kinds = draw(st.lists(st.sampled_from(["bool", "num"]), max_size=6))
+    rules = []
+    for _ in range(draw(st.integers(0, 4))):
+        sides = [
+            tuple((i, op) for i, kind in enumerate(kinds)
+                  if (op := draw(st.sampled_from(_OPS[kind][side]))) is not None)
+            for side in (0, 1)
+        ]
+        rules.append(Rule(*sides))
+    sketch = Sketch(tuple(SketchFeature(f"f{i}", k) for i, k in enumerate(kinds)), tuple(rules))
+    return parse_sketch(format_sketch(sketch))
+
+
+def _chooser(rng):
+    return None if rng is None else lambda candidates: candidates[rng.randrange(len(candidates))]
+
+
+@given(sketch=_parsed_sketches(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_rule_masks_match_the_old_policy_graph_and_sieve(sketch, seed):
+    graph = build_policy_graph(sketch)
+    assert graph.edges == _old_policy_edges(sketch)
+    # the first choice by default, then a random one
+    for new_rng, old_rng in ((None, None), (random.Random(seed), random.Random(seed))):
+        result = sieve(graph, choice=_chooser(new_rng))
+        steps = [(step.component, step.feature, step.removed_edges) for step in result.steps]
+        old = _old_sieve(sketch, graph.edges, choice=_chooser(old_rng))
+        assert (result.accepted, steps, result.remaining_edges) == old
