@@ -562,9 +562,10 @@ def generate(family: str, params: dict[str, str]) -> Bundle:
 
     def ints(key, count=None):
         """The comma-separated integers of `key`: `count` of them, or any
-        number, empty items skipped, when `count` is None."""
+        number when `count` is None.  An empty value holds none; an empty
+        item between or after commas is an error."""
         raw = text(key)
-        items = raw.split(",") if count else [v for v in raw.split(",") if v]
+        items = raw.split(",") if raw else []
         try:
             if count in (None, len(items)):
                 return [int(v) for v in items]

@@ -389,9 +389,11 @@ def _compile_distance(expr: Distance, problem: GroundProblem) -> Kernel:
     else:
         fixed = None
         exclude = set(spec.exclude)
+        pattern_mask = _pattern_mask(problem, spec.pattern)
+        if not spec.pattern.args:  # its last argument names the target cell
+            raise FeatureError(f"cells_of({spec.pattern}): a pattern with no argument names no cell")
         target_mask = state_from_atoms(
-            aid for aid in atoms_of(_pattern_mask(problem, spec.pattern))
-            if atoms[aid].args[-1] not in exclude
+            aid for aid in atoms_of(pattern_mask) if atoms[aid].args[-1] not in exclude
         )
     pos_pred = expr.pos_predicate
 

@@ -5,7 +5,10 @@ tests the goal on the dequeued state before any pruning decision, generates
 successors in ascending action-id order and drops a successor already
 generated, so node counts are reproducible.  `generated` counts the root and
 every successor, duplicates included; `pruned` counts the dequeued states
-the pruning test rejected.
+the pruning test rejected.  Besides the queue and the pruning test's table,
+the search keeps one parent state per generated state; a plan is read back
+from that chain, each step being the lowest-id action between two linked
+states, which is the action that linked them.
 """
 
 from __future__ import annotations
@@ -85,6 +88,16 @@ def _bfs(
     the duplicate could make new, so `accept` would reject it.  With no
     `accept` every state is expanded, which is plain BFS, and an exhausted
     queue means that no plan exists.
+
+    `parent` maps each generated state to the state whose expansion first
+    generated it (the root to None), so the search keeps one reference per
+    state and no action.  A plan step p -> c is recovered as the lowest-id
+    action applicable in p whose successor is c.  That is the action that
+    linked them: `parent[c]` is set only when c is first generated, during
+    the one expansion of p, which tries the actions applicable in p in
+    ascending id order, so the first of them to reach c has the lowest id.
+    Recovery costs one `applicable_actions` call per plan step, made once,
+    at the goal.
     """
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
@@ -94,7 +107,7 @@ def _bfs(
     stats = SearchStats(generated=1)
     root = problem.init if start is None else start
     actions = problem.actions
-    parent: dict[State, tuple[State, int] | None] = {root: None}
+    parent: dict[State, State | None] = {root: None}
     queue: deque[State] = deque([root])
 
     def done(outcome: Outcome, reason: str | None = None, goal: State | None = None):
@@ -102,10 +115,13 @@ def _bfs(
         plan = None
         if goal is not None:
             plan = []
-            link = parent[goal]
-            while link is not None:
-                plan.append(link[1])
-                link = parent[link[0]]
+            c, p = goal, parent[goal]
+            while p is not None:
+                plan.append(next(
+                    aid for aid in applicable_actions(problem, p)
+                    if (p & ~actions[aid].delete) | actions[aid].add == c
+                ))
+                c, p = p, parent[p]
             plan.reverse()
         return SearchResult(outcome, plan, stats, reason=reason, goal_state=goal)
 
@@ -114,8 +130,8 @@ def _bfs(
         if goal_test(s):
             return done(Outcome.SOLVED, goal=s)
         if accept is not None:
-            link = parent[s]
-            if not accept(s, s if link is None else s ^ link[0]):
+            p = parent[s]
+            if not accept(s, s if p is None else s ^ p):
                 stats.pruned += 1
                 continue
         stats.expanded += 1
@@ -125,7 +141,7 @@ def _bfs(
             act = actions[aid]
             succ = (s & ~act.delete) | act.add
             if succ not in parent:
-                parent[succ] = (s, aid)
+                parent[succ] = s
                 queue.append(succ)
         if max_nodes is not None and stats.generated > max_nodes:
             return done(Outcome.FAILURE, f"node limit {max_nodes} exceeded")

@@ -133,6 +133,12 @@ def test_solve_siwr_names_the_line_of_an_undeclared_object(gen_dir, tmp_path, ca
         2, "error: line 2: feature 't': unknown object 'nosuchcell'\n")
 
 
+def test_solve_siwr_names_the_line_of_a_cells_of_pattern_with_no_argument(gen_dir, tmp_path, capsys):
+    line_2 = "feature t num = distance(pos, adjacent, cells_of(empty()))"
+    assert _siwr_error_with_line_2(gen_dir, tmp_path, capsys, line_2) == (
+        2, "error: line 2: feature 't': cells_of(empty()): a pattern with no argument names no cell\n")
+
+
 def test_solve_siwr_names_the_line_of_an_unregistered_builtin(gen_dir, tmp_path, capsys):
     line_2 = "feature t num = builtin(nope)"
     assert _siwr_error_with_line_2(gen_dir, tmp_path, capsys, line_2) == (
@@ -605,6 +611,13 @@ def test_gen_names_a_malformed_integer_parameter(tmp_path, capsys):
     assert main(["gen", "--family", "grid2", "--params", *params, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         "error: parameter 'start' needs two comma-separated integers, got '1'\n")
+
+
+def test_gen_rejects_an_empty_list_item(tmp_path, capsys):
+    assert main(["gen", "--family", "marbles", "--params", "counts=2,,1,", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: parameter 'counts' needs comma-separated integers, got '2,,1,'\n")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("family", ["blocks", "grid2", "delivery", "marbles"])

@@ -134,11 +134,26 @@ def test_invalid_specs_rejected():
         ("blocks-on", {"l": "1,2", "m": "2"}, "^parameter 'l' needs an integer, got '1,2'$"),
         ("delivery", {"width": "3", "height": "3", "packages": "1,x", "target": "1", "start": "1"},
          "^parameter 'packages' needs comma-separated integers, got '1,x'$"),
+        # an empty item is a typo, not a skipped value
+        ("marbles", {"counts": "2,,1,"}, "^parameter 'counts' needs comma-separated integers, got '2,,1,'$"),
+        ("marbles", {"counts": "2,1,"}, "^parameter 'counts' needs comma-separated integers, got '2,1,'$"),
+        ("marbles", {"counts": ",2"}, "^parameter 'counts' needs comma-separated integers, got ',2'$"),
+        ("delivery", {"width": "3", "height": "3", "packages": "3,,8", "target": "1", "start": "1"},
+         "^parameter 'packages' needs comma-separated integers, got '3,,8'$"),
+        ("grid", {"width": "", "height": "3", "start": "1", "goal": "2"},
+         "^parameter 'width' needs an integer, got ''$"),
     ],
 )
 def test_generate_rejects_bad_input(family, params, message):
     with pytest.raises(DomainError, match=message):
         generate(family, params)
+
+
+def test_generate_reads_an_empty_list_as_no_items():
+    bundle = generate("delivery", {"width": "2", "height": "2", "packages": "", "target": "1", "start": "1"})
+    assert "delivery-2x2-0" in bundle.problem_text
+    with pytest.raises(DomainError, match="at least one box"):
+        generate("marbles", {"counts": ""})
 
 
 def test_blocks_goal_on_held_block_accepted():

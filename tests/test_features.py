@@ -409,6 +409,8 @@ COMPILE_DIAGNOSTICS = [
     ("distance(pos, adjacent, cells(nosuchcell))", "unknown object 'nosuchcell'"),
     ("distance(pos, adjacent, cells_of(nope(_, _)))", "undeclared predicate 'nope'"),
     ("distance(pos, adjacent, cells_of(ppos(_, _), not c1, nosuch))", "unknown object 'nosuch'"),
+    ("distance(pos, adjacent, cells_of(empty()))",
+     "cells_of(empty()): a pattern with no argument names no cell"),
     ("distance(pos, adjacent, cells(c1), zero_if(holding(_, _)))",
      "predicate 'holding' has arity 1, not 2"),
     ("sum(count(pos(_)), nonzero(count(empty(x))))", "predicate 'empty' has arity 0, not 1"),

@@ -3,6 +3,7 @@
 import random
 import zlib
 from array import array
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -10,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthplan import (
-    applicable_actions, apply, atoms_of, bfs_optimal, domains, ground, iw_t,
+    applicable_actions, apply, atoms_of, bfs_optimal, domains, ground, iw_k, iw_t,
     is_goal, parse_domain, parse_problem, replay,
 )
 from widthplan.domains import DomainError
 from widthplan.features import parse_features
-from widthplan.novelty import TupleSet, parse_tuple_set
+from widthplan.novelty import NoveltyTable, TupleSet, all_tuples_up_to, parse_tuple_set
 from widthplan.oracle import (
     OracleError,
     StateSpace,
@@ -496,6 +497,52 @@ def test_enumeration_matches_reference_on_generated_bundles(bundle, data):
         _assert_same_space(*outcomes)
     else:
         assert outcomes == [f"state space exceeds cap {cap}"] * 2
+
+
+def _bfs_with_action_links(problem, accept):
+    """The search engine as it was when each generated state kept a
+    (parent, action id) link: plan, expanded, generated, pruned, goal state."""
+    parent = {problem.init: None}
+    queue = deque([problem.init])
+    expanded, generated, pruned = 0, 1, 0
+    while queue:
+        s = queue.popleft()
+        if is_goal(problem, s):
+            plan, link = [], parent[s]
+            while link is not None:
+                plan.append(link[1])
+                link = parent[link[0]]
+            return plan[::-1], expanded, generated, pruned, s
+        if accept is not None:
+            link = parent[s]
+            if not accept(s, s if link is None else s ^ link[0]):
+                pruned += 1
+                continue
+        expanded += 1
+        aids = applicable_actions(problem, s)
+        generated += len(aids)
+        for aid in aids:
+            act = problem.actions[aid]
+            succ = (s & ~act.delete) | act.add
+            if succ not in parent:
+                parent[succ] = (s, aid)
+                queue.append(succ)
+    return None, expanded, generated, pruned, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle=_small_bundles())
+def test_searches_match_the_engine_with_action_links(bundle):
+    if bundle is None:
+        return
+    g = ground_bundle(bundle)
+    runs = [(bfs_optimal(g), None)] + [
+        (iw_k(g, k), NoveltyTable(all_tuples_up_to(g, k)).register) for k in range(3)
+    ]
+    for r, accept in runs:
+        stats = r.stats
+        got = r.plan, stats.expanded, stats.generated, stats.pruned, r.goal_state
+        assert got == _bfs_with_action_links(g, accept)
 
 
 def test_rows_match_recomputed_successors(graph_space):

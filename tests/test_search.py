@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 import zlib
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -401,6 +402,51 @@ def test_iw2_memory_sized_by_fluent_atoms():
         tracemalloc.stop()
     assert r.solved
     assert peak < 5 * 2**20
+
+
+def test_iw2_memory_one_parent_reference_per_state():
+    # IW(2) on blocks_on(5,5) generates 38,431 distinct states; a (parent,
+    # action) tuple per state, kept to rebuild the plan, took the peak
+    # above 5 MB
+    g = ground_bundle(domains.blocks_on(5, 5))
+    tracemalloc.start()
+    try:
+        r = iw_k(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.solved
+    assert peak < 4 * 2**20
+
+
+_TWIN_DOMAIN = """(define (domain twin) (:predicates (at ?x) (next ?x ?y))
+  (:action walk :parameters (?x ?y) :precondition (and (at ?x) (next ?x ?y))
+    :effect (and (at ?y) (not (at ?x))))
+  (:action run :parameters (?x ?y) :precondition (and (at ?x) (next ?x ?y))
+    :effect (and (at ?y) (not (at ?x)))))"""
+
+
+@pytest.mark.parametrize("search", [
+    bfs_optimal,
+    lambda g: iw_k(g, 1),
+    lambda g: iw_t(g, TupleSet.from_iterable((a,) for a in range(g.n_atoms))),
+    # a valuation that tells every state apart
+    lambda g: iw_phi(g, SimpleNamespace(valuation=lambda _problem, s: s)),
+], ids=["bfs", "iw1", "iwt", "iwphi"])
+def test_plan_recovery_takes_the_lower_of_two_actions_with_one_successor(search):
+    # walk and run have the same effects, so every step has two actions
+    # from the same state to the same successor
+    g = ground(parse_domain(_TWIN_DOMAIN), parse_problem(
+        "(define (problem i) (:domain twin) (:objects a b c d)"
+        " (:init (at a) (next a b) (next b c) (next c d)) (:goal (and (at d))))"))
+    twins = {}  # (x, y) -> the ids of walk(x, y) and run(x, y)
+    for act in g.actions:
+        twins.setdefault(act.args, []).append(act.action_id)
+    steps = [("a", "b"), ("b", "c"), ("c", "d")]
+    assert [len(twins[step]) for step in steps] == [2, 2, 2]
+    r = search(g)
+    assert r.solved
+    assert r.plan == [min(twins[step]) for step in steps]
 
 
 @pytest.mark.parametrize("make, counts", [
