@@ -340,6 +340,8 @@ def delivery(
     """Delivery instance; `packages` lists the start cell of each package."""
     if width < 1 or height < 1:
         raise DomainError("width and height must be >= 1")
+    if not packages:  # the feature `u` names every package
+        raise DomainError("need at least one package")
     cells = _grid_cells(width, height)
     names = [f"p{i}" for i in range(1, len(packages) + 1)]
     for c in packages + [target, start]:

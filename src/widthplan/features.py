@@ -596,12 +596,7 @@ def _comma_names(ts: Tokens) -> list[str]:
 def _pattern(ts: Tokens) -> Pattern:
     pred = _name(ts)
     ts.next("(")
-    args = []
-    if ts.peek().text != ")":
-        args.append(ts.next().text.lower())
-        while ts.peek().text == ",":
-            ts.next()
-            args.append(ts.next().text.lower())
+    args = [_name(ts), *_comma_names(ts)] if ts.peek().text != ")" else []
     ts.next(")")
     return Pattern(pred, tuple(args))
 

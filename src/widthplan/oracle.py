@@ -14,7 +14,7 @@ from itertools import compress
 from .features import FeatureSet
 from .novelty import NoveltyTable, TupleSet, all_tuples_up_to
 from .search import GoalTest, bfs_optimal, iw_k
-from .sketches import Sketch, pair_satisfies, strongly_connected_components
+from .sketches import Sketch, relation, strongly_connected_components
 from .strips import GroundProblem, State, applicability_tables, applicable_actions
 
 
@@ -399,10 +399,7 @@ def _compatibility(space: StateSpace, sketch: Sketch, phi: FeatureSet):
             val_index[v] = vi
             vals.append(v)
         state_val.append(vi)
-    compat = [
-        [any(pair_satisfies(rule, va, vb) for rule in sketch.rules) for vb in vals]
-        for va in vals
-    ]
+    compat = [[relation(sketch, va, vb) for vb in vals] for va in vals]
     return state_val, compat
 
 

@@ -1,5 +1,7 @@
-"""Condition->effect rules over features, their pair semantics, the Boolean
-policy graph, and the SCC-based termination check (sieve).
+"""Condition->effect rules over features, compiled once per sketch into bit
+masks (`Sketch.masks`) that serve the subgoal relation, the Boolean policy
+graph, the SCC-based termination check (sieve) and the oracle; no other
+code reads a rule's ops.
 
 Sketch file grammar (bit-exact tokens, `#` comments):
 
@@ -13,7 +15,9 @@ Effect tokens: `p`, `!p`, `p?`, `n++`, `n--`, `n?`.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .lexing import Token, Tokens
 
@@ -44,6 +48,18 @@ class SketchFeature:
     kind: str  # "bool" | "num"
 
 
+# One rule over the vertex bits (a Boolean's truth, a number's n = 0): the
+# conditions `need` (p, n=0) and `forbid` (!p, n>0, and n--, which needs
+# n > 0); the effects `sets` (p), `unsets` (!p), `inc` (n++), `dec` (n--)
+# and `anys` (p?, n?); and `keep`, the features no effect mentions.
+RuleMasks = namedtuple("RuleMasks", "need forbid sets unsets inc dec anys keep")
+
+
+def _mask(rule: Rule, *ops: str) -> int:
+    """The bits of the features that `rule` gives one of `ops` on either side."""
+    return sum({1 << i for i, op in rule.conditions + rule.effects if op in ops})  # each bit once
+
+
 @dataclass(frozen=True)
 class Sketch:
     features: tuple[SketchFeature, ...]
@@ -53,49 +69,49 @@ class Sketch:
     def names_kinds(self) -> list[tuple[str, str]]:
         return [(f.name, f.kind) for f in self.features]
 
+    @cached_property
+    def masks(self) -> tuple[RuleMasks, ...]:
+        """Every rule compiled once: nothing else reads the rules' ops."""
+        return tuple(
+            RuleMasks(_mask(r, POS, EQ0), _mask(r, NEG, GT0, DEC), _mask(r, SET), _mask(r, UNSET),
+                      _mask(r, INC), _mask(r, DEC), _mask(r, ANYBOOL, ANYNUM),
+                      ~_mask(r, *_BOOL_EFFS, *_NUM_EFFS))
+            for r in self.rules
+        )
 
-def pair_satisfies(rule: Rule, fs: tuple[int, ...], fs2: tuple[int, ...]) -> bool:
-    """True iff `fs` meets the conditions and the change to `fs2` matches the
-    effects; features unmentioned in the effects must keep their value."""
-    for i, op in rule.conditions:
-        v = fs[i]
-        if op == POS and not v:
-            return False
-        if op == NEG and v:
-            return False
-        if op == EQ0 and v != 0:
-            return False
-        if op == GT0 and v <= 0:
-            return False
-    mentioned = 0
-    for i, op in rule.effects:
-        mentioned |= 1 << i
-        v, w = fs[i], fs2[i]
-        if op == SET and w != 1:
-            return False
-        if op == UNSET and w != 0:
-            return False
-        if op == INC and not w > v:
-            return False
-        if op == DEC and not w < v:
-            return False
-        # ANYBOOL / ANYNUM are unconstrained
-    for i in range(len(fs)):
-        if not (mentioned >> i) & 1 and fs[i] != fs2[i]:
-            return False
-    return True
+    @cached_property
+    def numeric(self) -> int:
+        """The bits of the numerical features."""
+        return sum(1 << i for i, f in enumerate(self.features) if f.kind == "num")
 
 
 def relation(sketch: Sketch, fs: tuple[int, ...], fs2: tuple[int, ...]) -> bool:
-    """The subgoal relation: some rule is compatible with the valuation pair."""
-    return any(pair_satisfies(rule, fs, fs2) for rule in sketch.rules)
+    """The subgoal relation: some rule's masks pass the pair's source bits b,
+    target bits b2 and the features that rose or fell.  A Boolean is 0 or 1
+    and a number n >= 0; b2 keeps a number's truth, as no effect sets one."""
+    b = b2 = up = down = 0
+    bit = 1
+    for v, w in zip(fs, fs2):
+        if v:
+            b |= bit
+        if w:
+            b2 |= bit
+        if w > v:
+            up |= bit
+        elif w < v:
+            down |= bit
+        bit <<= 1
+    b ^= sketch.numeric  # a number's bit is n = 0
+    moved = up | down
+    for need, forbid, sets, unsets, inc, dec, _anys, keep in sketch.masks:
+        if (b & need == need and not b & forbid and b2 & sets == sets and not b2 & unsets
+                and up & inc == inc and down & dec == dec and not moved & keep):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
-# Policy graph over Boolean condition valuations
-
-# Vertices are bit masks over the sketch features: for a Boolean feature the
-# bit is its truth value, for a numerical feature the bit encodes `n = 0`.
+# Policy graph over Boolean condition valuations, the vertex bits of `RuleMasks`
 
 
 @dataclass
@@ -108,31 +124,20 @@ class PolicyGraph:
 MAX_POLICY_FEATURES = 16  # the graph has 2**n vertices over n sketch features
 
 
-def _mask(pairs: tuple[tuple[int, str], ...], *ops: str) -> int:
-    """The bits of the features that `pairs` gives one of `ops`."""
-    return sum(1 << i for i, op in pairs if op in ops)
-
-
 def build_policy_graph(sketch: Sketch) -> PolicyGraph:
-    """Each rule is five masks.  A vertex v passes when it holds every bit
-    of `need` and none of `forbid`; its targets keep the bits of `keep`,
-    turn on `sets` and take every combination of `free`.  INC and UNSET
-    clear their bit: a value that grew is not 0."""
+    """A vertex v passes a rule when it holds every bit of `need` and none of
+    `forbid`; its targets keep `keep`, turn on `sets` and take every subset
+    of `anys | dec`.  INC and UNSET clear their bit: a value that grew is not 0."""
     n = len(sketch.features)
     if n > MAX_POLICY_FEATURES:
         raise SketchError(f"{n} features exceed the policy-graph cap {MAX_POLICY_FEATURES}")
     edges: list[tuple[int, int, int]] = []
-    for ridx, rule in enumerate(sketch.rules):
-        conds, effs = rule.conditions, rule.effects
-        need = _mask(conds, POS, EQ0)
-        forbid = _mask(conds, NEG, GT0) | _mask(effs, DEC)  # n-- needs n > 0
-        sets = _mask(effs, SET)
-        free = _mask(effs, ANYBOOL, ANYNUM, DEC)
-        keep = ~_mask(effs, *_BOOL_EFFS, *_NUM_EFFS)
+    for ridx, m in enumerate(sketch.masks):
+        free = m.anys | m.dec
         for v in range(1 << n):
-            if v & need != need or v & forbid:
+            if v & m.need != m.need or v & m.forbid:
                 continue
-            fixed = v & keep | sets
+            fixed = v & m.keep | m.sets
             sub = free
             while True:
                 edges.append((v, fixed | sub, ridx))
@@ -224,8 +229,8 @@ def sieve(graph: PolicyGraph, choice=None) -> SieveResult:
     """
     sketch = graph.sketch
     # per rule: the features it decrements, and those it increments or leaves unknown
-    dec = [_mask(rule.effects, DEC) for rule in sketch.rules]
-    grow = [_mask(rule.effects, INC, ANYNUM) for rule in sketch.rules]
+    dec = [m.dec for m in sketch.masks]
+    grow = [m.inc | m.anys for m in sketch.masks]
     alive = [True] * len(graph.edges)
     steps: list[SieveStep] = []
 

@@ -150,8 +150,9 @@ def test_generate_rejects_bad_input(family, params, message):
 
 
 def test_generate_reads_an_empty_list_as_no_items():
-    bundle = generate("delivery", {"width": "2", "height": "2", "packages": "", "target": "1", "start": "1"})
-    assert "delivery-2x2-0" in bundle.problem_text
+    # no package would leave the feature `u` naming no object
+    with pytest.raises(DomainError, match="at least one package"):
+        generate("delivery", {"width": "2", "height": "2", "packages": "", "target": "1", "start": "1"})
     with pytest.raises(DomainError, match="at least one box"):
         generate("marbles", {"counts": ""})
 

@@ -373,6 +373,10 @@ FEATURE_DIAGNOSTICS = [
     (_DECL + "missing(p(_))", "line 1: missing(...) needs at least one object"),
     (_DECL + "chain_count(on, x, left)", "line 1: chain_count direction must be 'up' or 'down'"),
     (_DECL + "chain_count(on, (, up)", "line 1: expected name, found '('"),
+    # a pattern's arguments are names, read when the line is parsed (on
+    # line 2, as the message of line 1 is already a row's id)
+    (_DECL + "count(clear(,))", "line 1: expected name, found ','"),
+    ("\n" + _DECL + "count(clear(())", "line 2: expected name, found '('"),
     (_DECL + "distance(at, adj, nowhere(a))",
      "line 1: expected cells(...) or cells_of(...), found 'nowhere'"),
     (_DECL + "distance(at, adj, cells_of(p(_), but a))", "line 1: expected 'not', found 'but'"),

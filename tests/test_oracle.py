@@ -15,7 +15,7 @@ from widthplan import (
     is_goal, parse_domain, parse_problem, replay,
 )
 from widthplan.domains import DomainError
-from widthplan.features import parse_features
+from widthplan.features import compile_feature, parse_features
 from widthplan.novelty import NoveltyTable, TupleSet, all_tuples_up_to, parse_tuple_set
 from widthplan.oracle import (
     OracleError,
@@ -32,7 +32,7 @@ from widthplan.oracle import (
     sketch_width_on,
     tuple_cost,
 )
-from widthplan.sketches import parse_sketch
+from widthplan.sketches import build_policy_graph, parse_sketch, sieve
 from tests.conftest import bundle_features, ground_bundle
 
 
@@ -543,6 +543,34 @@ def test_searches_match_the_engine_with_action_links(bundle):
         stats = r.stats
         got = r.plan, stats.expanded, stats.generated, stats.pruned, r.goal_state
         assert got == _bfs_with_action_links(g, accept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundle=_small_bundles())
+def test_generated_bundles_parse_with_their_own_features_and_sketches(bundle):
+    if bundle is None or bundle.features_text is None:
+        return
+    g = ground_bundle(bundle)
+    phi = parse_features(bundle.features_text)
+    for feature in phi:
+        compile_feature(feature, g)
+    for text in bundle.sketches.values():
+        phi.select(parse_sketch(text).names_kinds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundle=_small_bundles())
+def test_sketches_the_sieve_accepts_are_feature_acyclic(bundle):
+    # the policy graph and the relation read the same compiled rules: a
+    # cycle of the relation on the states would be a cycle the sieve kept
+    if bundle is None or not bundle.sketches:
+        return
+    space = enumerate_space(ground_bundle(bundle))
+    phi = parse_features(bundle.features_text)
+    for text in bundle.sketches.values():
+        sketch = parse_sketch(text)
+        if sieve(build_policy_graph(sketch)).accepted:
+            assert is_feature_acyclic_on(space, sketch, phi)
 
 
 def test_rows_match_recomputed_successors(graph_space):

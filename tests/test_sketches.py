@@ -82,23 +82,23 @@ def test_format_round_trip():
         assert parse_sketch(format_sketch(sk)) == sk
 
 
-def test_pair_satisfies_examples():
-    sk = parse_sketch(CLEAR_SKETCH)
-    rule = sk.rules[0]
-    from widthplan.sketches import pair_satisfies
+def _one_rule(text):
+    """The sketch of `text` and one sketch per rule, holding only that rule."""
+    sk = parse_sketch(text)
+    return sk, [Sketch(sk.features, (rule,)) for rule in sk.rules]
 
-    assert pair_satisfies(rule, (0, 2), (1, 1))
-    assert not pair_satisfies(rule, (0, 2), (1, 2))  # n must strictly decrease
-    assert not pair_satisfies(rule, (1, 2), (0, 1))  # condition !H fails
+
+def test_pair_satisfies_examples():
+    _, (sk,) = _one_rule(CLEAR_SKETCH)
+    assert relation(sk, (0, 2), (1, 1))
+    assert not relation(sk, (0, 2), (1, 2))  # n must strictly decrease
+    assert not relation(sk, (1, 2), (0, 1))  # condition !H fails
 
 
 def test_unmentioned_features_must_hold_value():
-    sk = parse_sketch("features { H: bool; n: num; }\nrules { { H } => { !H }; }\n")
-    rule = sk.rules[0]
-    from widthplan.sketches import pair_satisfies
-
-    assert pair_satisfies(rule, (1, 3), (0, 3))
-    assert not pair_satisfies(rule, (1, 3), (0, 2))
+    _, (sk,) = _one_rule("features { H: bool; n: num; }\nrules { { H } => { !H }; }\n")
+    assert relation(sk, (1, 3), (0, 3))
+    assert not relation(sk, (1, 3), (0, 2))
 
 
 def test_relation_table_rows():
@@ -192,10 +192,9 @@ def test_sieve_confluent_under_choice_order(delivery_small):
 )
 def test_concrete_pairs_project_to_graph_edges(family, qclear2, delivery_one):
     problem, bundle = qclear2 if family == "qclear" else delivery_one
-    sketch = parse_sketch(bundle.sketches["policy"])
+    sketch, singles = _one_rule(bundle.sketches["policy"])
     phi = parse_features(bundle.features_text).select(sketch.names_kinds)
-    graph = build_policy_graph(sketch)
-    edge_set = {(u, v) for u, v, _ in graph.edges}
+    edge_set = set(build_policy_graph(sketch).edges)
     space = enumerate_space(problem)
     vals = [phi.valuation(problem, s) for s in space.states]
 
@@ -203,10 +202,13 @@ def test_concrete_pairs_project_to_graph_edges(family, qclear2, delivery_one):
         bits = boolean_projection(phi, values)
         return sum(1 << i for i, b in enumerate(bits) if b)
 
+    # a pair that rule r alone relates maps to an edge of rule r
     for a in range(len(space)):
         for b in range(len(space)):
-            if relation(sketch, vals[a], vals[b]):
-                assert (vertex(vals[a]), vertex(vals[b])) in edge_set
+            rules = [r for r, single in enumerate(singles) if relation(single, vals[a], vals[b])]
+            assert bool(rules) == relation(sketch, vals[a], vals[b])
+            for r in rules:
+                assert (vertex(vals[a]), vertex(vals[b]), r) in edge_set
 
 
 _ONE_NUM = "features { n: num; }\nrules { "
@@ -273,17 +275,14 @@ INC_SKETCH = "features { n: num; m: num; }\nrules { { n>0 } => { n--, m++ }; { m
 
 
 def test_increment_parses_and_relates_only_growth():
-    from widthplan.sketches import pair_satisfies
-
-    sk = parse_sketch(INC_SKETCH)
+    sk, (first, _) = _one_rule(INC_SKETCH)
     assert sk.rules[0].conditions == ((0, GT0),)
     assert sk.rules[0].effects == ((0, DEC), (1, INC))
     assert parse_sketch(format_sketch(sk)) == sk
-    rule = sk.rules[0]
-    assert pair_satisfies(rule, (2, 0), (1, 1))
-    assert pair_satisfies(rule, (2, 0), (1, 5))
-    assert not pair_satisfies(rule, (2, 3), (1, 3))  # m must grow
-    assert not pair_satisfies(rule, (2, 3), (1, 2))
+    assert relation(first, (2, 0), (1, 1))
+    assert relation(first, (2, 0), (1, 5))
+    assert not relation(first, (2, 3), (1, 3))  # m must grow
+    assert not relation(first, (2, 3), (1, 2))
 
 
 def test_increment_edge_targets_a_positive_value():
@@ -301,6 +300,43 @@ def test_sieve_keeps_a_decrement_beside_an_increment():
     assert result.remaining_edges == list(range(len(graph.edges)))
     inside = [i for i in result.remaining_edges if graph.edges[i][:2] == (0, 0)]
     assert {graph.edges[i][2] for i in inside} == {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# The relation as it was before each rule became masks: one rule's ops read
+# feature by feature.
+
+
+def _pair_satisfies(rule, fs, fs2):
+    """True iff `fs` meets the conditions and the change to `fs2` matches the
+    effects; features unmentioned in the effects must keep their value."""
+    for i, op in rule.conditions:
+        v = fs[i]
+        if op == POS and not v:
+            return False
+        if op == NEG and v:
+            return False
+        if op == EQ0 and v != 0:
+            return False
+        if op == GT0 and v <= 0:
+            return False
+    mentioned = 0
+    for i, op in rule.effects:
+        mentioned |= 1 << i
+        v, w = fs[i], fs2[i]
+        if op == SET and w != 1:
+            return False
+        if op == UNSET and w != 0:
+            return False
+        if op == INC and not w > v:
+            return False
+        if op == DEC and not w < v:
+            return False
+        # ANYBOOL / ANYNUM are unconstrained
+    for i in range(len(fs)):
+        if not (mentioned >> i) & 1 and fs[i] != fs2[i]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -434,3 +470,23 @@ def test_rule_masks_match_the_old_policy_graph_and_sieve(sketch, seed):
         steps = [(step.component, step.feature, step.removed_edges) for step in result.steps]
         old = _old_sieve(sketch, graph.edges, choice=_chooser(old_rng))
         assert (result.accepted, steps, result.remaining_edges) == old
+
+
+@st.composite
+def _valuation_pairs(draw):
+    """A sketch and two valuations of its features, 0 or 1 for a Boolean and
+    n >= 0 for a number; the second keeps some values of the first."""
+    sketch = draw(_parsed_sketches())
+    values = [st.integers(0, 1) if f.kind == "bool" else st.integers(0, 3) for f in sketch.features]
+    fs = tuple(draw(v) for v in values)
+    fs2 = tuple(w if draw(st.booleans()) else draw(v) for v, w in zip(values, fs))
+    return sketch, fs, fs2
+
+
+@given(_valuation_pairs())
+@settings(max_examples=400, deadline=None)
+def test_relation_matches_the_op_loop(case):
+    sketch, fs, fs2 = case
+    assert relation(sketch, fs, fs2) == any(_pair_satisfies(rule, fs, fs2) for rule in sketch.rules)
+    # a valuation and itself, which no rule with n++ or n-- relates
+    assert relation(sketch, fs, fs) == any(_pair_satisfies(rule, fs, fs) for rule in sketch.rules)
