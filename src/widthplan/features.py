@@ -21,9 +21,10 @@ matches the state.
 Evaluation is compiled: a FeatureSet turns each feature into a kernel
 `s -> int` over precomputed atom masks the first time it values a state of a
 GroundProblem, and keeps the kernels of that one problem.  `count` is the
-popcount of the state under the pattern's mask, `distance` reads BFS rows
-built at compile time, and `builtin(name)` calls the kernel factory
-registered under `name`:
+popcount of the state under the pattern's mask, `distance` returns the first
+of its position's layers (d, mask of the target atoms at distance d) that
+meets the state, and `builtin(name)` calls the kernel factory registered
+under `name`:
 
     @register_builtin("holding_count")
     def _holding_count(problem: GroundProblem) -> Kernel:
@@ -37,7 +38,6 @@ state.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -353,24 +353,28 @@ def _graph(problem: GroundProblem, edges: State) -> dict[str, list[str]]:
     return graph
 
 
-def _bfs(graph: dict[str, list[str]], source: str) -> dict[str, int]:
+def _layers(graph: dict[str, list[str]], source: str, bits: dict[str, State]):
+    """Ascending (d, OR of the bits of the cells at distance d from
+    `source`), for each d at which some cell has bits."""
     dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur] + 1
-        for nxt in graph.get(cur, ()):
-            if nxt not in dist:
-                dist[nxt] = d
-                queue.append(nxt)
-    return dist
+    order = [source]  # grows as the walk reaches new cells
+    for cell in order:
+        for n in graph.get(cell, ()):
+            if n not in dist:
+                dist[n] = dist[cell] + 1
+                order.append(n)
+    layers: dict[int, State] = {}
+    for cell, b in bits.items():
+        if cell in dist:
+            layers[dist[cell]] = layers.get(dist[cell], 0) | b
+    return sorted(layers.items())
 
 
 def _compile_distance(expr: Distance, problem: GroundProblem) -> Kernel:
-    """Distance rows are computed here, from every position, over the
-    adjacency facts of the initial state.  A state holding other adjacency
-    facts (a reachable one only when the adjacency predicate is fluent) gets
-    a BFS over its own facts, and nothing of it is kept."""
+    """A target cell is the bits that make it a target.  Each position gets
+    layer masks (d, OR of the bits of the target cells at distance d) over
+    the initial adjacency facts.  A state holding other ones (only if the
+    adjacency predicate is fluent) gets layers over its own, not kept."""
     atoms = problem.atoms
     spec = expr.targets
     cells = isinstance(spec, CellTargets)
@@ -379,23 +383,22 @@ def _compile_distance(expr: Distance, problem: GroundProblem) -> Kernel:
     _declared(problem, expr.adj_predicate, 2, spec.objects if cells else spec.exclude)
     zero_mask = _pattern_mask(problem, expr.zero_if) if expr.zero_if is not None else 0
     adj_mask = state_from_atoms(problem.atoms_by_predicate.get(expr.adj_predicate, ()))
+    if cells:  # a fixed target is there in every state
+        bits, target_mask = dict.fromkeys(spec.objects, -1), -1
+    else:  # a cell is a target by the P atoms whose last argument names it
+        pattern_mask = _pattern_mask(problem, spec.pattern)
+        if not spec.pattern.args:
+            raise FeatureError(f"cells_of({spec.pattern}): a pattern with no argument names no cell")
+        bits, target_mask = {}, 0
+        for aid in atoms_of(pattern_mask):
+            cell = atoms[aid].args[-1]
+            if cell not in spec.exclude:
+                bits[cell] = bits.get(cell, 0) | 1 << aid
+                target_mask |= 1 << aid
     base = problem.init & adj_mask
     base_graph = _graph(problem, base)
     source_of = {aid: atoms[aid].args[0] for aid in atoms_of(pos_mask)}
-    rows = {src: _bfs(base_graph, src) for src in source_of.values()}
-    if cells:
-        fixed: tuple[str, ...] | None = spec.objects
-        target_mask = 0
-    else:
-        fixed = None
-        exclude = set(spec.exclude)
-        pattern_mask = _pattern_mask(problem, spec.pattern)
-        if not spec.pattern.args:  # its last argument names the target cell
-            raise FeatureError(f"cells_of({spec.pattern}): a pattern with no argument names no cell")
-        target_mask = state_from_atoms(
-            aid for aid in atoms_of(pattern_mask) if atoms[aid].args[-1] not in exclude
-        )
-    pos_pred = expr.pos_predicate
+    rows = {aid: _layers(base_graph, source, bits) for aid, source in source_of.items()}
 
     def kernel(s: State) -> int:
         if s & zero_mask:
@@ -404,19 +407,16 @@ def _compile_distance(expr: Distance, problem: GroundProblem) -> Kernel:
         if not pos:
             return 0
         if pos & (pos - 1):
-            raise FeatureError(f"distance: several {pos_pred} atoms true")
-        source = source_of[pos.bit_length() - 1]
-        targets = fixed or [atoms[aid].args[-1] for aid in atoms_of(s & target_mask)]
-        if not targets:
+            raise FeatureError(f"distance: several {expr.pos_predicate} atoms true")
+        if not s & target_mask:
             return 0
+        aid = pos.bit_length() - 1
         adj = s & adj_mask
-        row = rows[source] if adj == base else _bfs(_graph(problem, adj), source)
-        best = min((row[t] for t in targets if t in row), default=None)
-        if best is None:
-            raise FeatureError(
-                f"distance: no target of {spec} reachable from '{source}'"
-            )
-        return best
+        layers = rows[aid] if adj == base else _layers(_graph(problem, adj), source_of[aid], bits)
+        for d, mask in layers:
+            if s & mask:
+                return d
+        raise FeatureError(f"distance: no target of {spec} reachable from '{source_of[aid]}'")
 
     return kernel
 

@@ -157,21 +157,21 @@ def opt_states(space: StateSpace, tuples: TupleSet) -> set[int]:
 
 
 @dataclass
-class EnvelopeReport:
+class Report:
+    """A verdict, a state that refutes it, and why."""
+
     ok: bool
     witness: State | None = None
     reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
+    envelope: Report | None = None  # the envelope route of `is_admissible`
 
 
-def is_cost_envelope(space: StateSpace, member_idxs: set[int]) -> EnvelopeReport:
+def is_cost_envelope(space: StateSpace, member_idxs: set[int]) -> Report:
     """A set of states is a cost-envelope iff it contains the initial state
     and every non-goal member has a successor member of strictly larger
     finite optimal cost."""
     if 0 not in member_idxs:
-        return EnvelopeReport(False, space.start, "initial state not in the set")
+        return Report(False, space.start, "initial state not in the set")
     goal, cost, pc = space.goal_flags, space.cost, space.problem_cost
     offsets, targets = space.offsets, space.targets
     for i in member_idxs:
@@ -187,10 +187,10 @@ def is_cost_envelope(space: StateSpace, member_idxs: set[int]) -> EnvelopeReport
                 ok = True
                 break
         if not ok:
-            return EnvelopeReport(
+            return Report(
                 False, space.states[i], "no cost-increasing successor inside the set"
             )
-    return EnvelopeReport(True)
+    return Report(True)
 
 
 def _require_strips(problem: GroundProblem, what: str):
@@ -203,18 +203,7 @@ def _require_nonnegative(name: str, value: int):
         raise OracleError(f"{name} must be >= 0, got {value}")
 
 
-@dataclass
-class AdmissibleReport:
-    ok: bool
-    witness: State | None = None
-    reason: str = ""
-    envelope: EnvelopeReport | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_admissible(space: StateSpace, tuples: TupleSet) -> AdmissibleReport:
+def is_admissible(space: StateSpace, tuples: TupleSet) -> Report:
     """Check admissibility of a tuple set by two independent routes and
     insist they agree.
 
@@ -224,12 +213,13 @@ def is_admissible(space: StateSpace, tuples: TupleSet) -> AdmissibleReport:
     is a cost-envelope.
     """
     _require_strips(space.problem, "admissibility")
-    for mask in tuples.masks():
-        if tuple_cost(space, mask) is None:
-            atoms = tuples.state_str(space.problem, mask)
-            return AdmissibleReport(False, mask, f"unreachable tuple {atoms}")
+    masks = tuples.masks()
+    costs = [tuple_cost(space, m) for m in masks]
+    if None in costs:
+        mask = masks[costs.index(None)]
+        return Report(False, mask, f"unreachable tuple {tuples.state_str(space.problem, mask)}")
 
-    direct = _admissible_direct(space, tuples)
+    direct = _admissible_direct(space, masks, costs)
     envelope = is_cost_envelope(space, opt_states(space, tuples))
     if direct.ok != envelope.ok:
         raise OracleError(
@@ -240,12 +230,10 @@ def is_admissible(space: StateSpace, tuples: TupleSet) -> AdmissibleReport:
     return direct
 
 
-def _admissible_direct(space: StateSpace, tuples: TupleSet) -> AdmissibleReport:
-    masks = tuples.masks()
-    costs = [tuple_cost(space, m) for m in masks]
+def _admissible_direct(space: StateSpace, masks: list[State], costs: list[int]) -> Report:
     start = space.start
     if not any(start & m == m for m in masks):
-        return AdmissibleReport(False, start, "no tuple true in the initial state")
+        return Report(False, start, "no tuple true in the initial state")
 
     states, cost, goal, pc = space.states, space.cost, space.goal_flags, space.problem_cost
     offsets, targets = space.offsets, space.targets
@@ -269,13 +257,13 @@ def _admissible_direct(space: StateSpace, tuples: TupleSet) -> AdmissibleReport:
                     extended = True
                     break
             if not extended:
-                return AdmissibleReport(
+                return Report(
                     False,
                     s,
                     f"optimal state for tuple {space.problem.state_str(mask)} "
                     "has no one-step extension to another tuple",
                 )
-    return AdmissibleReport(True)
+    return Report(True)
 
 
 # ---------------------------------------------------------------------------

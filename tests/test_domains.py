@@ -1,8 +1,11 @@
 """Generated bundles: parse, ground, solve, and family-specific shape."""
 
+import re
+
 import pytest
 
 from widthplan import bfs_optimal, domains, is_goal, replay
+from widthplan.cli import main
 from widthplan.domains import DomainError, generate
 from widthplan.features import compile_feature, parse_features
 from widthplan.novelty import parse_tuple_set
@@ -98,6 +101,8 @@ def test_invalid_specs_rejected():
         domains.grid(2, 2, 0, 4)
     with pytest.raises(DomainError):
         domains.blocks([["a", "a"]], ("clear", "a"))
+    with pytest.raises(DomainError, match="empty tower"):
+        domains.blocks([[]], ("clear", "a"))
     with pytest.raises(DomainError):
         domains.marbles([])
     with pytest.raises(DomainError):
@@ -142,11 +147,19 @@ def test_invalid_specs_rejected():
          "^parameter 'packages' needs comma-separated integers, got '3,,8'$"),
         ("grid", {"width": "", "height": "3", "start": "1", "goal": "2"},
          "^parameter 'width' needs an integer, got ''$"),
+        ("blocks-clear", {"l": "0"}, "^height must be >= 1$"),
     ],
 )
-def test_generate_rejects_bad_input(family, params, message):
+def test_generate_rejects_bad_input(family, params, message, tmp_path, capsys):
     with pytest.raises(DomainError, match=message):
         generate(family, params)
+    # the command line names the same fault on one line and writes nothing
+    argv = ["gen", "--family", family, "--params", *(f"{k}={v}" for k, v in params.items())]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(message, err[len("error: "):-1])
+    assert not any(tmp_path.iterdir())
 
 
 def test_generate_reads_an_empty_list_as_no_items():

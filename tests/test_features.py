@@ -1,6 +1,7 @@
 """Feature evaluation, valuations and projections."""
 
 import zlib
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -12,15 +13,24 @@ from widthplan import (
 from widthplan.features import (
     BUILTINS,
     Builtin,
+    CellTargets,
+    Distance,
     Feature,
     FeatureError,
     FeatureSet,
+    Nonzero,
     Pattern,
+    Sum,
+    _graph,
+    _pattern_mask,
     boolean_projection,
     compile_feature,
     parse_features,
 )
+from widthplan.oracle import enumerate_space
+from widthplan.strips import atoms_of, state_from_atoms
 from tests.conftest import ground_bundle
+from tests.test_oracle import _small_bundles
 
 
 def _delivery(pkg_cells, target=1, start=5):
@@ -343,6 +353,108 @@ def test_distance_over_fluent_adjacency():
     # state's own links: b reaches d again once c-d is rebuilt around it
     s = after(("move", ("a", "b")), ("cut", ("c", "d")), ("build", ("b", "d")))
     assert phi.valuation(g, s) == (1,)
+
+
+def test_distance_without_a_position_is_zero():
+    g, phi = _delivery([3])
+    s = _forge(g, g.init, drop=[("pos", ("c5",))])
+    assert phi.valuation(g, s) == (0, 0, 0, 1)
+
+
+# -- the layer kernel against the dict-row kernel it replaced -------------------
+
+
+def _distance_by_rows(expr, problem):
+    """The distance kernel as it was before layer masks: it names the target
+    cells the state holds, looks each name up in the BFS row of the
+    position, keyed by cell name, and takes the least distance."""
+    atoms, spec = problem.atoms, expr.targets
+    pos_mask = _pattern_mask(problem, Pattern(expr.pos_predicate, ("_",)))
+    zero_mask = _pattern_mask(problem, expr.zero_if) if expr.zero_if is not None else 0
+    adj_mask = state_from_atoms(problem.atoms_by_predicate.get(expr.adj_predicate, ()))
+    base = problem.init & adj_mask
+
+    def bfs(graph, source):
+        dist, queue = {source: 0}, deque([source])
+        while queue:
+            cur = queue.popleft()
+            for nxt in graph.get(cur, ()):
+                if nxt not in dist:
+                    dist[nxt] = dist[cur] + 1
+                    queue.append(nxt)
+        return dist
+
+    source_of = {aid: atoms[aid].args[0] for aid in atoms_of(pos_mask)}
+    rows = {src: bfs(_graph(problem, base), src) for src in source_of.values()}
+    if isinstance(spec, CellTargets):
+        fixed, target_mask = spec.objects, 0
+    else:
+        fixed = None
+        target_mask = state_from_atoms(
+            aid for aid in atoms_of(_pattern_mask(problem, spec.pattern))
+            if atoms[aid].args[-1] not in spec.exclude
+        )
+
+    def kernel(s):
+        if s & zero_mask:
+            return 0
+        pos = s & pos_mask
+        if not pos:
+            return 0
+        if pos & (pos - 1):
+            raise FeatureError(f"distance: several {expr.pos_predicate} atoms true")
+        source = source_of[pos.bit_length() - 1]
+        targets = fixed or [atoms[aid].args[-1] for aid in atoms_of(s & target_mask)]
+        if not targets:
+            return 0
+        adj = s & adj_mask
+        row = rows[source] if adj == base else bfs(_graph(problem, adj), source)
+        best = min((row[t] for t in targets if t in row), default=None)
+        if best is None:
+            raise FeatureError(f"distance: no target of {spec} reachable from '{source}'")
+        return best
+
+    return kernel
+
+
+def _distances(expr):
+    if isinstance(expr, Distance):
+        yield expr
+    elif isinstance(expr, Sum):
+        yield from _distances(expr.left)
+        yield from _distances(expr.right)
+    elif isinstance(expr, Nonzero):
+        yield from _distances(expr.inner)
+
+
+def _value_or_message(kernel, s):
+    try:
+        return kernel(s)
+    except FeatureError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundle=_small_bundles(("delivery", "grid", "grid2")), data=st.data())
+def test_distance_layers_match_dict_rows(bundle, data):
+    # every reachable state, and states forged from some of them: a second
+    # position, no position, and adjacency facts cut at random
+    if bundle is None:
+        return
+    g = ground_bundle(bundle)
+    states = enumerate_space(g).states
+    for expr in (e for f in parse_features(bundle.features_text) for e in _distances(f.expr)):
+        layers = compile_feature(Feature("d", "num", expr), g)
+        rows = _distance_by_rows(expr, g)
+        pos_mask = _pattern_mask(g, Pattern(expr.pos_predicate, ("_",)))
+        adj_mask = state_from_atoms(g.atoms_by_predicate.get(expr.adj_predicate, ()))
+        forged = []
+        for s in data.draw(st.lists(st.sampled_from(states), max_size=4), label="forge from"):
+            extra = data.draw(st.sampled_from([1 << i for i in atoms_of(pos_mask)]), label="pos")
+            cut = data.draw(st.integers(0, adj_mask), label="cut") & adj_mask
+            forged += [s | extra, s & ~pos_mask, s & ~cut]
+        for s in [*states, *forged]:
+            assert _value_or_message(layers, s) == _value_or_message(rows, s)
 
 
 def test_hanoi_builtins_reject_a_cycle_of_on_atoms():

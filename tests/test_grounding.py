@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from widthplan import apply, bfs_optimal, domains, ground, is_goal
 from widthplan import parse_domain, parse_problem
+from widthplan.cli import main
 from widthplan.grounding import GroundingError
 from widthplan.strips import GroundAction, GroundAtom, GroundProblem, atoms_of, state_from_atoms
 from tests.conftest import ground_bundle
@@ -76,6 +77,29 @@ def test_domain_name_mismatch():
     p = parse_problem("(define (problem i) (:domain other) (:init) (:goal (and)))")
     with pytest.raises(GroundingError, match="references domain"):
         ground(d, p)
+
+
+_TWO_PREDICATES = "(define (domain t) (:predicates (p ?x) (q ?x ?y)))"
+
+
+@pytest.mark.parametrize("init_goal, message", [
+    ("(:init) (:goal (and (p a) (not (p a))))",
+     "goal contains an atom both positively and negatively"),
+    ("(:init (p a b)) (:goal (and))", "init atom p(a,b) has arity 2, declared 1"),
+    ("(:init (q a a)) (:goal (and))",
+     "init atom q(a,a) names an unknown object or repeats an argument"),
+], ids=["contradictory-goal", "init-arity", "init-repeated-argument"])
+def test_ground_rejects_bad_input(init_goal, message, tmp_path, capsys):
+    problem = f"(define (problem i) (:domain t) (:objects a b) {init_goal})"
+    with pytest.raises(GroundingError) as info:
+        ground(parse_domain(_TWO_PREDICATES), parse_problem(problem))
+    assert str(info.value) == message
+    # the command line names it on one line, with no traceback
+    (tmp_path / "domain.pddl").write_text(_TWO_PREDICATES)
+    (tmp_path / "problem.pddl").write_text(problem)
+    files = ["--domain", str(tmp_path / "domain.pddl"), "--problem", str(tmp_path / "problem.pddl")]
+    assert main(["solve", "--alg", "bfs", *files]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # Schema-level simulator used to cross-check ground plans.

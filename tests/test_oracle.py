@@ -440,11 +440,11 @@ def test_enumeration_matches_reference_loop(graph_space):
 
 
 @st.composite
-def _small_bundles(draw):
-    """Small bundles of every generated family; some parameters are
+def _small_bundles(draw, families=(
+        "blocks", "blocks-clear", "blocks-on", "delivery", "grid", "grid2", "hanoi", "marbles")):
+    """Small bundles of the generated `families`; some parameters are
     invalid, which `generate` rejects."""
-    family = draw(st.sampled_from(
-        ["blocks", "blocks-clear", "blocks-on", "delivery", "grid", "grid2", "hanoi", "marbles"]))
+    family = draw(st.sampled_from(families))
     width, height = draw(st.integers(0, 3)), draw(st.integers(1, 3))
     cell = st.integers(1, max(1, width * height)).map(str)
     if family == "blocks-clear":
@@ -558,19 +558,42 @@ def test_generated_bundles_parse_with_their_own_features_and_sketches(bundle):
         phi.select(parse_sketch(text).names_kinds)
 
 
+_CONDITIONS = {"bool": ["{}", "!{}"], "num": ["{}=0", "{}>0"]}
+# `?` twice: a rule that leaves a feature unknown lets more valuations follow
+_EFFECTS = {"bool": ["{}", "!{}", "{}?", "{}?"], "num": ["{}++", "{}--", "{}?", "{}?"]}
+
+
+@st.composite
+def _random_sketches(draw, phi):
+    """One to three rules over the features of `phi`, each feature left out
+    of a rule side or given a random form on it."""
+    rules = []
+    for _ in range(draw(st.integers(1, 3), label="rules")):
+        sides = []
+        for forms in (_CONDITIONS, _EFFECTS):
+            ops = [draw(st.sampled_from([None, *forms[f.kind]])) for f in phi]
+            sides.append(", ".join(op.format(f.name) for op, f in zip(ops, phi) if op))
+        rules.append("{ %s } => { %s };" % tuple(sides))
+    names = "".join(f"{f.name}: {f.kind}; " for f in phi)
+    return "features { " + names + "}\nrules { " + " ".join(rules) + " }\n"
+
+
 @settings(max_examples=300, deadline=None)
-@given(bundle=_small_bundles())
-def test_sketches_the_sieve_accepts_are_feature_acyclic(bundle):
+@given(bundle=_small_bundles(), data=st.data())
+def test_sketches_the_sieve_accepts_are_feature_acyclic(bundle, data):
     # the policy graph and the relation read the same compiled rules: a
-    # cycle of the relation on the states would be a cycle the sieve kept
+    # cycle of the relation on the states would be a cycle the sieve kept.
+    # The bundled sketches pass even a sieve that ignores increments; random
+    # ones do not.
     if bundle is None or not bundle.sketches:
         return
     space = enumerate_space(ground_bundle(bundle))
     phi = parse_features(bundle.features_text)
-    for text in bundle.sketches.values():
+    drawn = [data.draw(_random_sketches(phi), label="sketch") for _ in range(3)]
+    for text in [*bundle.sketches.values(), *drawn]:
         sketch = parse_sketch(text)
         if sieve(build_policy_graph(sketch)).accepted:
-            assert is_feature_acyclic_on(space, sketch, phi)
+            assert is_feature_acyclic_on(space, sketch, phi), text
 
 
 def test_rows_match_recomputed_successors(graph_space):

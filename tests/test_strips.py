@@ -194,6 +194,10 @@ def test_watch_index_files_each_action_once_and_matches_precondition_scan(bundle
     pytest.param(domains.blocks_on(5, 5), 2, 15, id="iw2-blocks-on-5-5"),
     # IW(1) expands 528 states, with 20.8 applicable actions each
     pytest.param(domains.blocks_clear(32), 1, 40, id="iw1-blocks-clear-32"),
+    # 28.0 and 40.0 with the parity flag o() smoothed; 48.5 and 83.0 with
+    # its share 0, which files every odd move under it
+    pytest.param(domains.hanoi(4), 3, 30, id="iw3-hanoi-4"),
+    pytest.param(domains.hanoi_odd(5), 2, 42, id="iw2-hanoi-odd-5"),
 ])
 def test_watch_index_keeps_scans_short(bundle, k, bound, monkeypatch):
     # the mean number of precondition tests per expansion: the always-list
