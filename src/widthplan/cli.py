@@ -214,8 +214,8 @@ def _cmd_oracle(args) -> int:
     check = args.check
 
     if check == "width":
-        space = oracle.enumerate_space(problem, args.cap)
-        width = oracle.effective_width_on(space, args.k_cap)
+        space = oracle.enumerate_space(problem, args.cap)  # the cap refuses before any search
+        width = oracle.effective_width(problem, args.k_cap)
         if width is None:
             print(f"verdict=unbounded k_cap={args.k_cap}")
             return 1
@@ -256,7 +256,7 @@ def _cmd_oracle(args) -> int:
         return 0 if verdict else 1
 
     report = oracle.sketch_width_on(space, sketch, phi, args.k_cap)
-    if report.bounded:
+    if report.value is not None:
         print(f"sketch_width={report.value} subproblems={report.family_size}")
         return 0
     print(f"sketch_width=unbounded k_cap={args.k_cap} reason={report.reason!r}")

@@ -125,30 +125,26 @@ def enumerate_space(problem: GroundProblem, cap: int = DEFAULT_CAP) -> StateSpac
 # Optimal states for tuple sets
 
 
-def _first_holding(space: StateSpace, mask: State) -> int:
-    """Index of the first, hence cheapest, state making the tuple true; -1 if none."""
-    for i, s in enumerate(space.states):
-        if s & mask == mask:
-            return i
-    return -1
-
-
 def tuple_cost(space: StateSpace, mask: State) -> int | None:
-    """Min cost of a state making the tuple true; None if unreachable."""
-    i = _first_holding(space, mask)
-    return space.cost[i] if i >= 0 else None
+    """Min cost of a state making the tuple true; None if unreachable.  The
+    first holder along `states` is the cheapest."""
+    for s, c in zip(space.states, space.cost):
+        if s & mask == mask:
+            return c
+    return None
 
 
 def opt_states(space: StateSpace, tuples: TupleSet) -> set[int]:
-    """Indices of min-cost states for each tuple, unioned over the set."""
+    """Indices of min-cost states for each tuple, unioned over the set: the
+    holders in the cost layer of the tuple's cost."""
     states, cost = space.states, space.cost
     out: set[int] = set()
     for mask in tuples.masks():
-        first = _first_holding(space, mask)
-        if first < 0:
+        c = tuple_cost(space, mask)
+        if c is None:
             continue
-        end = bisect_right(cost, cost[first], first)
-        out.update(i for i in range(first, end) if states[i] & mask == mask)
+        lo = bisect_left(cost, c)
+        out.update(i for i in range(lo, bisect_right(cost, c, lo)) if states[i] & mask == mask)
     return out
 
 
@@ -174,19 +170,13 @@ def is_cost_envelope(space: StateSpace, member_idxs: set[int]) -> Report:
         return Report(False, space.start, "initial state not in the set")
     goal, cost, pc = space.goal_flags, space.cost, space.problem_cost
     offsets, targets = space.offsets, space.targets
+    # a goal successor means a goal exists, so pc is set
     for i in member_idxs:
         if goal[i]:
             continue
         ci = cost[i]
-        ok = False
-        for j in targets[offsets[i]:offsets[i + 1]]:
-            if j not in member_idxs:
-                continue
-            cj = pc if goal[j] else cost[j]
-            if cj is not None and ci < cj:
-                ok = True
-                break
-        if not ok:
+        if not any(j in member_idxs and ci < (pc if goal[j] else cost[j])
+                   for j in targets[offsets[i]:offsets[i + 1]]):
             return Report(
                 False, space.states[i], "no cost-increasing successor inside the set"
             )
@@ -338,15 +328,6 @@ def effective_width(problem: GroundProblem, k_cap: int = 3) -> int | None:
     return _smallest_width(problem, len(base.plan), k_cap)
 
 
-def effective_width_on(space: StateSpace, k_cap: int = 3) -> int | None:
-    """`effective_width` with the optimal cost read from the enumerated space
-    instead of a reference search."""
-    _require_strips(space.problem, "effective width")
-    if space.problem_cost is None:
-        raise OracleError("reference search failed: state space exhausted")
-    return _smallest_width(space.problem, space.problem_cost, k_cap)
-
-
 def _smallest_width(
     problem: GroundProblem,
     optimal: int,
@@ -376,17 +357,10 @@ def _compatibility(space: StateSpace, sketch: Sketch, phi: FeatureSet):
     ones; and per pair (a, b) of realized valuations, whether some rule is
     compatible with going from a to b."""
     bound = phi.select(sketch.names_kinds)
-    vals: list[tuple[int, ...]] = []
     val_index: dict[tuple[int, ...], int] = {}
-    state_val: list[int] = []
-    for s in space.states:
-        v = bound.valuation(space.problem, s)
-        vi = val_index.get(v)
-        if vi is None:
-            vi = len(vals)
-            val_index[v] = vi
-            vals.append(v)
-        state_val.append(vi)
+    state_val = [val_index.setdefault(bound.valuation(space.problem, s), len(val_index))
+                 for s in space.states]
+    vals = list(val_index)  # in index order
     compat = [[relation(sketch, va, vb) for vb in vals] for va in vals]
     return state_val, compat
 
@@ -416,10 +390,6 @@ class SketchWidthReport:
     subproblem_widths: dict[int, int | None]  # start state index -> width
     reason: str = ""
 
-    @property
-    def bounded(self) -> bool:
-        return self.value is not None
-
 
 def sketch_width_on(
     space: StateSpace, sketch: Sketch, phi: FeatureSet, k_cap: int = 2
@@ -430,6 +400,12 @@ def sketch_width_on(
     A subproblem from state s asks for a goal state or a state below s in
     the sketch relation.  Successor subgoals induce new subproblems; distant
     subgoals only do when no successor of s is a goal or subgoal.
+
+    The subgoals of s depend only on its valuation class v, so the states
+    the full walks of class v visit form a region closed under successors
+    whose subgoals are all in the family.  A member inside its class's
+    region walks only to its nearest goal or subgoal, for the distance, and
+    adds no start: the family is the same as if every member walked fully.
     """
     _require_nonnegative("k_cap", k_cap)
     problem = space.problem
@@ -441,23 +417,29 @@ def sketch_width_on(
     # per non-goal member, the distance to its nearest goal or subgoal, that
     # is the subproblem's optimal cost; None for a dead end
     optimal: dict[int, int | None] = {}
-    pos = 0
-    while pos < len(family):
-        i = family[pos]
-        pos += 1
+    regions: dict[int, bytearray] = {}  # per class, what its full walks visited
+    for i in family:  # grows as it is read
         if goal_flags[i]:
             continue
-        below = compat[state_val[i]]
+        v = state_val[i]
+        below = compat[v]
         succs = targets[offsets[i]:offsets[i + 1]]
         if any(goal_flags[j] or below[state_val[j]] for j in succs):
             new_starts = [j for j in succs if not goal_flags[j] and below[state_val[j]]]
-            dist = 0 if below[state_val[i]] else 1
+            dist = 0 if below[v] else 1
         else:
+            region = regions.get(v)
+            if region is None:
+                region = regions[v] = bytearray(len(states))
+            full = not region[i]
             new_starts, dist = [], None
             for j, d in _breadth_first(space, i):
+                region[j] = 1
                 if goal_flags[j] or below[state_val[j]]:
                     if dist is None:
                         dist = d
+                        if not full:
+                            break
                     if not goal_flags[j]:
                         new_starts.append(j)
         optimal[i] = dist

@@ -4,15 +4,15 @@ import random
 import zlib
 from array import array
 from collections import deque
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widthplan import (
     applicable_actions, apply, atoms_of, bfs_optimal, domains, ground, iw_k, iw_t,
-    is_goal, parse_domain, parse_problem, replay,
+    is_goal, oracle, parse_domain, parse_problem, replay,
 )
 from widthplan.domains import DomainError
 from widthplan.features import compile_feature, parse_features
@@ -20,10 +20,12 @@ from widthplan.novelty import NoveltyTable, TupleSet, all_tuples_up_to, parse_tu
 from widthplan.oracle import (
     OracleError,
     StateSpace,
+    _breadth_first,
+    _compatibility,
     _opt_membership,
+    _smallest_width,
     enumerate_space,
     effective_width,
-    effective_width_on,
     is_admissible,
     is_cost_envelope,
     is_feature_acyclic_on,
@@ -808,24 +810,185 @@ def test_sketch_width_when_the_initial_state_is_a_goal():
     assert not report.reason
 
 
-def test_effective_width_on_matches_reference_search():
-    for make in [
-        lambda: domains.blocks_clear(3),
-        lambda: domains.grid2(3, 3, (1, 1), (3, 3)),
-        lambda: domains.delivery(3, 1, [1, 2, 3], target=1, start=1),
-        lambda: domains.hanoi(3),
-    ]:
-        g = ground_bundle(make())
-        space = enumerate_space(g)
-        assert effective_width_on(space, 2) == effective_width(g, 2)
+def _sketch_width_walking_every_member(space, sketch, phi, k_cap):
+    """`sketch_width_on` before full walks were shared per valuation class:
+    every member with no goal or subgoal successor walks all it can reach.
+    Returns (value, family size, subproblem widths, reason)."""
+    problem, goal = space.problem, space.goal_flags
+    state_val, compat = _compatibility(space, sketch, phi)
+    offsets, targets = space.offsets, space.targets
+    family, in_family, optimal = [0], {0}, {}
+    pos = 0
+    while pos < len(family):
+        i = family[pos]
+        pos += 1
+        if goal[i]:
+            continue
+        below = compat[state_val[i]]
+        succs = targets[offsets[i]:offsets[i + 1]]
+        if any(goal[j] or below[state_val[j]] for j in succs):
+            new_starts = [j for j in succs if not goal[j] and below[state_val[j]]]
+            dist = 0 if below[state_val[i]] else 1
+        else:
+            new_starts, dist = [], None
+            for j, d in _breadth_first(space, i):
+                if goal[j] or below[state_val[j]]:
+                    if dist is None:
+                        dist = d
+                    if not goal[j]:
+                        new_starts.append(j)
+        optimal[i] = dist
+        for j in new_starts:
+            if j not in in_family:
+                in_family.add(j)
+                family.append(j)
+    widths, worst = {}, 0
+    for i in family:
+        if goal[i]:
+            widths[i] = 0
+            continue
+        below = compat[state_val[i]]
+
+        def subgoal(st, below=below):
+            j = space.index[st]
+            return bool(goal[j] or below[state_val[j]])
+
+        w = None if optimal[i] is None else _smallest_width(
+            problem, optimal[i], k_cap, start=space.states[i], goal_test=subgoal)
+        widths[i] = w
+        if w is None:
+            return (None, len(family), widths, f"subproblem from {problem.state_str(space.states[i])} "
+                    f"has width above {k_cap} or is a dead end")
+        worst = max(worst, w)
+    return worst, len(family), widths, ""
 
 
-def test_effective_width_on_errors():
+def _graph_bundle(n_nodes, links, marked, goal):
+    """A token on the digraph `links` over nodes 0..n_nodes-1, starting at
+    node 0, with the goal of reaching node `goal` and a Boolean feature Bk,
+    true at node marked[k]."""
+    nodes = " ".join(f"n{i}" for i in range(n_nodes))
+    init = " ".join(f"(link n{a} n{b})" for a, b in links)
+    problem = (f"(define (problem walk) (:domain oneway) (:objects {nodes})\n"
+               f"  (:init (at n0) {init}) (:goal (and (at n{goal}))))\n")
+    features = "".join(f"feature B{k} bool = nonzero(count(at(n{x})))\n" for k, x in enumerate(marked))
+    return domains.Bundle("graph", _ONEWAY_DOMAIN, problem, features)
+
+
+@st.composite
+def _one_way_graphs(draw):
+    """`_graph_bundle` on a random digraph of at most seven nodes.  Its
+    states reach different parts of the space, where every `_small_bundles`
+    space but marbles' is strongly connected: one walk from any state
+    reaches every state."""
+    n = draw(st.integers(2, 7), label="nodes")
+    links = draw(st.lists(st.sampled_from(list(permutations(range(n), 2))), max_size=14, unique=True),
+                 label="links")
+    marked = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True), label="marked")
+    return _graph_bundle(n, links, marked, draw(st.integers(0, n - 1), label="goal"))
+
+
+@st.composite
+def _bundles_with_rules(draw):
+    """A `_small_bundles` or `_one_way_graphs` draw with its bundled sketches
+    and three random rule sets over its features; None without features."""
+    bundle = draw(st.one_of(_small_bundles(), _one_way_graphs()))
+    if bundle is None or bundle.features_text is None:
+        return None
+    phi = parse_features(bundle.features_text)
+    return bundle, [*bundle.sketches.values(), *(draw(_random_sketches(phi)) for _ in range(3))]
+
+
+def _graph_case(links, rules):
+    """A `_graph_bundle` over nodes 0..7, node 0 marked B0, 2 marked B1, 5
+    marked B2, and node 7, which no link enters, the goal; with the sketch
+    `rules` over B0, B1 and B2."""
+    text = "features { B0: bool; B1: bool; B2: bool; }\nrules { " + rules + " }\n"
+    return _graph_bundle(8, links, [0, 2, 5], 7), [text]
+
+
+# Random rule sets rarely reach these cases.  In each, a member walks fully
+# that a wrong region would let skip: member 2, which the walk of another
+# class visited; member 3, whose class walked before, from 1; and member 3,
+# whose class-mate 1 met a subgoal next door.
+@example(case=_graph_case([(0, 1), (1, 4), (4, 2), (2, 5), (5, 3)],
+                          "{ B0 } => { !B0 }; { } => { B1 }; { B1 } => { !B1 };"))
+@example(case=_graph_case([(0, 1), (0, 3), (1, 4), (4, 2), (3, 6), (6, 5)],
+                          "{ B0 } => { !B0 }; { } => { B1 }; { } => { B2 };"))
+@example(case=_graph_case([(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)],
+                          "{ B0 } => { !B0 }; { } => { B1 }; { } => { B2 }; { B1 } => { !B1 };"))
+@settings(max_examples=150, deadline=None)
+@given(case=_bundles_with_rules())
+def test_family_build_matches_walking_every_member(case):
+    # a member inside its class's region skips its full walk
+    if case is None:
+        return
+    bundle, texts = case
+    space = enumerate_space(ground_bundle(bundle))
+    phi = parse_features(bundle.features_text)
+    for text in texts:
+        sketch = parse_sketch(text)
+        report = sketch_width_on(space, sketch, phi, 2)
+        got = (report.value, report.family_size, list(report.subproblem_widths.items()), report.reason)
+        value, size, widths, reason = _sketch_width_walking_every_member(space, sketch, phi, 2)
+        assert got == (value, size, list(widths.items()), reason), text
+
+
+# sketch -> (sketch width, family size, crc32 of the subproblem widths) on
+# delivery(4, 4, [6, 11], 1, 12), 4,608 states, from the family build that
+# walked fully from every member with no goal or subgoal successor: 2,354,688
+# states walked for r4, 4,290,048 for r5
+FAMILY_WALK_PINS = {
+    "r4": (2, 513, 1176522784),
+    "r5": (1, 993, 2596245741),
+    "r8": (0, 19, 3740724289),
+}
+
+
+def test_family_build_walks_each_class_region_once(monkeypatch):
+    bundle = domains.delivery(4, 4, [6, 11], 1, 12)
+    space = enumerate_space(ground_bundle(bundle))
+    phi = bundle_features(bundle)
+    walked = 0
+
+    def counting(space, i):
+        nonlocal walked
+        for step in _breadth_first(space, i):
+            walked += 1
+            yield step
+
+    monkeypatch.setattr(oracle, "_breadth_first", counting)
+    for name, pin in FAMILY_WALK_PINS.items():
+        walked = 0
+        report = sketch_width_on(space, parse_sketch(bundle.sketches[name]), phi, 2)
+        assert (report.value, report.family_size, _crc(report.subproblem_widths.items())) == pin, name
+        assert walked <= 80 * len(space), (name, walked)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_delivery_sketches_have_their_stated_widths(data):
+    # r4, r5 and r8 are acyclic with sketch widths 2, 1 and 0 on every small
+    # layout; a subproblem from a goal has width 0, so all three have width
+    # 0 when the initial state is a goal
+    width, height = data.draw(st.integers(2, 3), label="width"), data.draw(st.integers(2, 3), label="height")
+    cell = st.integers(1, width * height)
+    packages = data.draw(st.lists(cell, min_size=1, max_size=2), label="packages")
+    bundle = domains.delivery(width, height, packages, data.draw(cell, label="target"),
+                              data.draw(cell, label="start"))
+    space = enumerate_space(ground_bundle(bundle))
+    phi = bundle_features(bundle)
+    for name, stated in [("r4", 2), ("r5", 1), ("r8", 0)]:
+        sketch = parse_sketch(bundle.sketches[name])
+        assert is_feature_acyclic_on(space, sketch, phi), name
+        report = sketch_width_on(space, sketch, phi, 2)
+        assert report.value == (0 if space.goal_flags[0] else stated), (name, report.reason)
+
+
+def test_effective_width_errors():
     g = ground_bundle(domains.marbles([1]))
     with pytest.raises(OracleError, match="positive-conjunction"):
-        effective_width_on(enumerate_space(g))
+        effective_width(g)
     g = ground(parse_domain(_ONEWAY_DOMAIN), parse_problem(_ONEWAY_PROBLEM))
-    with pytest.raises(OracleError, match="reference search failed: state space exhausted"):
-        effective_width_on(enumerate_space(g))
     with pytest.raises(OracleError, match="reference search failed: state space exhausted"):
         effective_width(g)
