@@ -2,18 +2,16 @@
 on-goal, general), Grid with one or two position predicates, Delivery,
 Marbles, and Towers of Hanoi with a move-alternation atom.
 
-Each generator returns a Bundle of texts: domain and problem in the PDDL
-subset, a feature bundle, named sketches, and (for the blocks families)
-explicit tuple-set files.
+Each generator returns a Bundle of texts: a domain, written here as PDDL
+text, and a problem from one writer (`_problem`), both in the subset that
+`pddl` parses; a feature bundle; named sketches; and (for the blocks
+families) explicit tuple-set files.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-
-from .pddl import ActionSchema, DomainAst, GroundAtomAst, ProblemAst, SchemaAtom
-from .pddl import format_domain, format_problem
 
 
 class DomainError(ValueError):
@@ -30,51 +28,47 @@ class Bundle:
     tuple_sets: dict[str, str] = field(default_factory=dict)
 
 
-def _atom(pred: str, *args: str) -> SchemaAtom:
-    return SchemaAtom(pred, tuple(args))
+def _ga(pred: str, *args: str) -> str:
+    """The PDDL text of a ground atom."""
+    return f"({' '.join((pred, *args))})"
 
 
-def _ga(pred: str, *args: str) -> GroundAtomAst:
-    return GroundAtomAst(pred, tuple(args))
+def _problem(name, domain, objects, init, goal_pos, goal_neg=()) -> str:
+    """The PDDL text of a problem; its goal is the conjunction of the atoms
+    of `goal_pos` and the negations of those of `goal_neg`."""
+    goal = "".join([*(" " + a for a in goal_pos), *(f" (not {a})" for a in goal_neg)])
+    return (
+        f"(define (problem {name})\n  (:domain {domain})\n"
+        f"  (:objects {' '.join(objects)})\n  (:init {' '.join(init)})\n"
+        f"  (:goal (and{goal}))\n)\n"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Blocksworld (four schemas: pickup, putdown, stack, unstack)
 
-_BLOCKS_DOMAIN = DomainAst(
-    name="blocks",
-    predicates=(("on", 2), ("ontable", 1), ("clear", 1), ("hold", 1), ("handempty", 0)),
-    schemas=(
-        ActionSchema(
-            "pickup",
-            ("?x",),
-            pre=(_atom("clear", "?x"), _atom("ontable", "?x"), _atom("handempty")),
-            add=(_atom("hold", "?x"),),
-            delete=(_atom("clear", "?x"), _atom("ontable", "?x"), _atom("handempty")),
-        ),
-        ActionSchema(
-            "putdown",
-            ("?x",),
-            pre=(_atom("hold", "?x"),),
-            add=(_atom("clear", "?x"), _atom("ontable", "?x"), _atom("handempty")),
-            delete=(_atom("hold", "?x"),),
-        ),
-        ActionSchema(
-            "stack",
-            ("?x", "?y"),
-            pre=(_atom("hold", "?x"), _atom("clear", "?y")),
-            add=(_atom("on", "?x", "?y"), _atom("clear", "?x"), _atom("handempty")),
-            delete=(_atom("hold", "?x"), _atom("clear", "?y")),
-        ),
-        ActionSchema(
-            "unstack",
-            ("?x", "?y"),
-            pre=(_atom("clear", "?x"), _atom("on", "?x", "?y"), _atom("handempty")),
-            add=(_atom("hold", "?x"), _atom("clear", "?y")),
-            delete=(_atom("clear", "?x"), _atom("on", "?x", "?y"), _atom("handempty")),
-        ),
-    ),
+_BLOCKS_DOMAIN = """\
+(define (domain blocks)
+  (:requirements :strips)
+  (:predicates (on ?x0 ?x1) (ontable ?x0) (clear ?x0) (hold ?x0) (handempty))
+  (:action pickup
+    :parameters (?x)
+    :precondition (and (clear ?x) (ontable ?x) (handempty))
+    :effect (and (hold ?x) (not (clear ?x)) (not (ontable ?x)) (not (handempty))))
+  (:action putdown
+    :parameters (?x)
+    :precondition (and (hold ?x))
+    :effect (and (clear ?x) (ontable ?x) (handempty) (not (hold ?x))))
+  (:action stack
+    :parameters (?x ?y)
+    :precondition (and (hold ?x) (clear ?y))
+    :effect (and (on ?x ?y) (clear ?x) (handempty) (not (hold ?x)) (not (clear ?y))))
+  (:action unstack
+    :parameters (?x ?y)
+    :precondition (and (clear ?x) (on ?x ?y) (handempty))
+    :effect (and (hold ?x) (clear ?y) (not (clear ?x)) (not (on ?x ?y)) (not (handempty))))
 )
+"""
 
 
 def blocks(
@@ -91,7 +85,7 @@ def blocks(
     for b in blocks_all:
         if not re.fullmatch(r"[a-z][a-z0-9_-]*", b):
             raise DomainError(f"bad block name {b!r}: lowercase letters, digits, '_' or '-'")
-    init: list[GroundAtomAst] = []
+    init: list[str] = []
     for tower in towers:
         if not tower:
             raise DomainError("empty tower")
@@ -112,12 +106,8 @@ def blocks(
     for b in goal[1:]:
         if b not in blocks_all:
             raise DomainError(f"goal block '{b}' is in no tower and not held")
-    problem = ProblemAst(
-        name, "blocks", tuple(sorted(blocks_all)), tuple(init), goal_pos, ()
-    )
-    return Bundle(
-        "blocks", format_domain(_BLOCKS_DOMAIN), format_problem(problem)
-    )
+    problem = _problem(name, "blocks", sorted(blocks_all), init, goal_pos)
+    return Bundle("blocks", _BLOCKS_DOMAIN, problem)
 
 
 def blocks_clear(height: int, holding: str | None = None) -> Bundle:
@@ -196,19 +186,16 @@ def _grid_adjacency(width: int, height: int) -> list[tuple[str, str]]:
     return pairs
 
 
-_GRID_DOMAIN = DomainAst(
-    name="grid",
-    predicates=(("pos", 1), ("adjacent", 2)),
-    schemas=(
-        ActionSchema(
-            "move",
-            ("?from", "?to"),
-            pre=(_atom("pos", "?from"), _atom("adjacent", "?from", "?to")),
-            add=(_atom("pos", "?to"),),
-            delete=(_atom("pos", "?from"),),
-        ),
-    ),
+_GRID_DOMAIN = """\
+(define (domain grid)
+  (:requirements :strips)
+  (:predicates (pos ?x0) (adjacent ?x0 ?x1))
+  (:action move
+    :parameters (?from ?to)
+    :precondition (and (pos ?from) (adjacent ?from ?to))
+    :effect (and (pos ?to) (not (pos ?from))))
 )
+"""
 
 
 def grid(width: int, height: int, start: int, goal: int) -> Bundle:
@@ -219,11 +206,8 @@ def grid(width: int, height: int, start: int, goal: int) -> Bundle:
         raise DomainError("start/goal cell out of range")
     init = [_ga("pos", f"c{start}")]
     init += [_ga("adjacent", a, b) for a, b in _grid_adjacency(width, height)]
-    problem = ProblemAst(
-        f"grid-{width}x{height}", "grid", tuple(cells), tuple(init),
-        (_ga("pos", f"c{goal}"),), (),
-    )
-    bundle = Bundle("grid", format_domain(_GRID_DOMAIN), format_problem(problem))
+    problem = _problem(f"grid-{width}x{height}", "grid", cells, init, [_ga("pos", f"c{goal}")])
+    bundle = Bundle("grid", _GRID_DOMAIN, problem)
     bundle.features_text = f"feature d num = distance(pos, adjacent, cells(c{goal}))\n"
     bundle.sketches["policy"] = (
         "features { d: num; }\nrules { { d>0 } => { d-- }; }\n"
@@ -231,26 +215,20 @@ def grid(width: int, height: int, start: int, goal: int) -> Bundle:
     return bundle
 
 
-_GRID2_DOMAIN = DomainAst(
-    name="grid2",
-    predicates=(("hpos", 1), ("vpos", 1), ("hadj", 2), ("vadj", 2)),
-    schemas=(
-        ActionSchema(
-            "moveh",
-            ("?from", "?to"),
-            pre=(_atom("hpos", "?from"), _atom("hadj", "?from", "?to")),
-            add=(_atom("hpos", "?to"),),
-            delete=(_atom("hpos", "?from"),),
-        ),
-        ActionSchema(
-            "movev",
-            ("?from", "?to"),
-            pre=(_atom("vpos", "?from"), _atom("vadj", "?from", "?to")),
-            add=(_atom("vpos", "?to"),),
-            delete=(_atom("vpos", "?from"),),
-        ),
-    ),
+_GRID2_DOMAIN = """\
+(define (domain grid2)
+  (:requirements :strips)
+  (:predicates (hpos ?x0) (vpos ?x0) (hadj ?x0 ?x1) (vadj ?x0 ?x1))
+  (:action moveh
+    :parameters (?from ?to)
+    :precondition (and (hpos ?from) (hadj ?from ?to))
+    :effect (and (hpos ?to) (not (hpos ?from))))
+  (:action movev
+    :parameters (?from ?to)
+    :precondition (and (vpos ?from) (vadj ?from ?to))
+    :effect (and (vpos ?to) (not (vpos ?from))))
 )
+"""
 
 
 def grid2(
@@ -266,11 +244,11 @@ def grid2(
         init += [_ga("hadj", f"h{i}", f"h{i + 1}"), _ga("hadj", f"h{i + 1}", f"h{i}")]
     for i in range(1, height):
         init += [_ga("vadj", f"v{i}", f"v{i + 1}"), _ga("vadj", f"v{i + 1}", f"v{i}")]
-    problem = ProblemAst(
-        f"grid2-{width}x{height}", "grid2", tuple(hs + vs), tuple(init),
-        (_ga("hpos", f"h{goal[0]}"), _ga("vpos", f"v{goal[1]}")), (),
+    problem = _problem(
+        f"grid2-{width}x{height}", "grid2", hs + vs, init,
+        [_ga("hpos", f"h{goal[0]}"), _ga("vpos", f"v{goal[1]}")],
     )
-    bundle = Bundle("grid2", format_domain(_GRID2_DOMAIN), format_problem(problem))
+    bundle = Bundle("grid2", _GRID2_DOMAIN, problem)
     bundle.features_text = (
         "feature d num = sum(distance(hpos, hadj, cells(h{0})), "
         "distance(vpos, vadj, cells(v{1})))\n".format(goal[0], goal[1])
@@ -284,35 +262,24 @@ def grid2(
 # ---------------------------------------------------------------------------
 # Delivery: agent and packages on a grid, all packages to one target cell
 
-_DELIVERY_DOMAIN = DomainAst(
-    name="delivery",
-    predicates=(
-        ("pos", 1), ("ppos", 2), ("holding", 1), ("empty", 0), ("adjacent", 2),
-    ),
-    schemas=(
-        ActionSchema(
-            "move",
-            ("?from", "?to"),
-            pre=(_atom("pos", "?from"), _atom("adjacent", "?from", "?to")),
-            add=(_atom("pos", "?to"),),
-            delete=(_atom("pos", "?from"),),
-        ),
-        ActionSchema(
-            "pick",
-            ("?p", "?c"),
-            pre=(_atom("pos", "?c"), _atom("ppos", "?p", "?c"), _atom("empty")),
-            add=(_atom("holding", "?p"),),
-            delete=(_atom("ppos", "?p", "?c"), _atom("empty")),
-        ),
-        ActionSchema(
-            "drop",
-            ("?p", "?c"),
-            pre=(_atom("pos", "?c"), _atom("holding", "?p")),
-            add=(_atom("ppos", "?p", "?c"), _atom("empty")),
-            delete=(_atom("holding", "?p"),),
-        ),
-    ),
+_DELIVERY_DOMAIN = """\
+(define (domain delivery)
+  (:requirements :strips)
+  (:predicates (pos ?x0) (ppos ?x0 ?x1) (holding ?x0) (empty) (adjacent ?x0 ?x1))
+  (:action move
+    :parameters (?from ?to)
+    :precondition (and (pos ?from) (adjacent ?from ?to))
+    :effect (and (pos ?to) (not (pos ?from))))
+  (:action pick
+    :parameters (?p ?c)
+    :precondition (and (pos ?c) (ppos ?p ?c) (empty))
+    :effect (and (holding ?p) (not (ppos ?p ?c)) (not (empty))))
+  (:action drop
+    :parameters (?p ?c)
+    :precondition (and (pos ?c) (holding ?p))
+    :effect (and (ppos ?p ?c) (empty) (not (holding ?p))))
 )
+"""
 
 _DELIVERY_RULES = {
     "r0": "",
@@ -350,16 +317,12 @@ def delivery(
     init = [_ga("pos", f"c{start}"), _ga("empty")]
     init += [_ga("ppos", p, f"c{c}") for p, c in zip(names, packages)]
     init += [_ga("adjacent", a, b) for a, b in _grid_adjacency(width, height)]
-    goal = tuple(_ga("ppos", p, f"c{target}") for p in names)
-    problem = ProblemAst(
-        f"delivery-{width}x{height}-{len(packages)}",
-        "delivery",
-        tuple(sorted(cells + names)),
-        tuple(init),
-        goal,
-        (),
+    goal = [_ga("ppos", p, f"c{target}") for p in names]
+    problem = _problem(
+        f"delivery-{width}x{height}-{len(packages)}", "delivery",
+        sorted(cells + names), init, goal,
     )
-    bundle = Bundle("delivery", format_domain(_DELIVERY_DOMAIN), format_problem(problem))
+    bundle = Bundle("delivery", _DELIVERY_DOMAIN, problem)
     tgt = f"c{target}"
     bundle.features_text = (
         "feature H bool = nonzero(count(holding(_)))\n"
@@ -377,26 +340,20 @@ def delivery(
 # ---------------------------------------------------------------------------
 # Marbles: boxes leave the table once emptied of marbles
 
-_MARBLES_DOMAIN = DomainAst(
-    name="marbles",
-    predicates=(("ontable", 1), ("in", 2), ("cnt", 2), ("succ", 2), ("zero", 1)),
-    schemas=(
-        ActionSchema(
-            "take",
-            ("?r", "?b", "?k", "?j"),
-            pre=(_atom("in", "?r", "?b"), _atom("cnt", "?b", "?k"), _atom("succ", "?j", "?k")),
-            add=(_atom("cnt", "?b", "?j"),),
-            delete=(_atom("in", "?r", "?b"), _atom("cnt", "?b", "?k")),
-        ),
-        ActionSchema(
-            "remove_box",
-            ("?b", "?k"),
-            pre=(_atom("ontable", "?b"), _atom("cnt", "?b", "?k"), _atom("zero", "?k")),
-            add=(),
-            delete=(_atom("ontable", "?b"),),
-        ),
-    ),
+_MARBLES_DOMAIN = """\
+(define (domain marbles)
+  (:requirements :strips)
+  (:predicates (ontable ?x0) (in ?x0 ?x1) (cnt ?x0 ?x1) (succ ?x0 ?x1) (zero ?x0))
+  (:action take
+    :parameters (?r ?b ?k ?j)
+    :precondition (and (in ?r ?b) (cnt ?b ?k) (succ ?j ?k))
+    :effect (and (cnt ?b ?j) (not (in ?r ?b)) (not (cnt ?b ?k))))
+  (:action remove_box
+    :parameters (?b ?k)
+    :precondition (and (ontable ?b) (cnt ?b ?k) (zero ?k))
+    :effect (and (not (ontable ?b))))
 )
+"""
 
 
 def marbles(counts: list[int]) -> Bundle:
@@ -419,12 +376,12 @@ def marbles(counts: list[int]) -> Bundle:
             ridx += 1
             marble_names.append(f"r{ridx}")
             init.append(_ga("in", f"r{ridx}", b))
-    objects = tuple(sorted(boxes + markers + marble_names))
-    problem = ProblemAst(
-        f"marbles-{'-'.join(map(str, counts))}", "marbles", objects, tuple(init),
-        (), tuple(_ga("ontable", b) for b in boxes),
+    problem = _problem(
+        f"marbles-{'-'.join(map(str, counts))}", "marbles",
+        sorted(boxes + markers + marble_names), init,
+        [], [_ga("ontable", b) for b in boxes],
     )
-    bundle = Bundle("marbles", format_domain(_MARBLES_DOMAIN), format_problem(problem))
+    bundle = Bundle("marbles", _MARBLES_DOMAIN, problem)
     bundle.features_text = (
         "feature n num = count(ontable(_))\n"
         "feature m num = builtin(marbles_first_box)\n"
@@ -439,32 +396,20 @@ def marbles(counts: list[int]) -> Bundle:
 # ---------------------------------------------------------------------------
 # Towers of Hanoi with a parity atom alternating between disk classes
 
-_HANOI_DOMAIN = DomainAst(
-    name="hanoi",
-    predicates=(("on", 2), ("clear", 1), ("smaller", 2), ("e", 0), ("o", 0)),
-    schemas=(
-        ActionSchema(
-            "move_e",
-            ("?d", "?from", "?to"),
-            pre=(
-                _atom("e"), _atom("on", "?d", "?from"), _atom("clear", "?d"),
-                _atom("clear", "?to"), _atom("smaller", "?d", "?to"),
-            ),
-            add=(_atom("o"), _atom("on", "?d", "?to"), _atom("clear", "?from")),
-            delete=(_atom("e"), _atom("on", "?d", "?from"), _atom("clear", "?to")),
-        ),
-        ActionSchema(
-            "move_o",
-            ("?d", "?from", "?to"),
-            pre=(
-                _atom("o"), _atom("on", "?d", "?from"), _atom("clear", "?d"),
-                _atom("clear", "?to"), _atom("smaller", "?d", "?to"),
-            ),
-            add=(_atom("e"), _atom("on", "?d", "?to"), _atom("clear", "?from")),
-            delete=(_atom("o"), _atom("on", "?d", "?from"), _atom("clear", "?to")),
-        ),
-    ),
+_HANOI_DOMAIN = """\
+(define (domain hanoi)
+  (:requirements :strips)
+  (:predicates (on ?x0 ?x1) (clear ?x0) (smaller ?x0 ?x1) (e) (o))
+  (:action move_e
+    :parameters (?d ?from ?to)
+    :precondition (and (e) (on ?d ?from) (clear ?d) (clear ?to) (smaller ?d ?to))
+    :effect (and (o) (on ?d ?to) (clear ?from) (not (e)) (not (on ?d ?from)) (not (clear ?to))))
+  (:action move_o
+    :parameters (?d ?from ?to)
+    :precondition (and (o) (on ?d ?from) (clear ?d) (clear ?to) (smaller ?d ?to))
+    :effect (and (e) (on ?d ?to) (clear ?from) (not (o)) (not (on ?d ?from)) (not (clear ?to))))
 )
+"""
 
 _HANOI_POLICY = (
     "features { q: bool; p12: bool; p13: bool; p23: bool; }\n"
@@ -510,11 +455,8 @@ def hanoi(n_disks: int, from_peg: int = 1, to_peg: int = 3) -> Bundle:
     dst = f"peg{to_peg}"
     goal = [_ga("on", disks[-1], dst)]
     goal += [_ga("on", upper, lower) for upper, lower in zip(disks, disks[1:])]
-    problem = ProblemAst(
-        f"hanoi-{n_disks}", "hanoi", tuple(sorted(disks + pegs)), tuple(init),
-        tuple(goal), (),
-    )
-    bundle = Bundle("hanoi", format_domain(_HANOI_DOMAIN), format_problem(problem))
+    problem = _problem(f"hanoi-{n_disks}", "hanoi", sorted(disks + pegs), init, goal)
+    bundle = Bundle("hanoi", _HANOI_DOMAIN, problem)
     bundle.features_text = (
         "feature q bool = builtin(hanoi_parity)\n"
         "feature p12 bool = builtin(hanoi_p12)\n"

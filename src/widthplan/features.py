@@ -501,6 +501,9 @@ for _i, _j in ((1, 2), (1, 3), (2, 3)):
 _DECL_RE = re.compile(r"^feature\s+(\w+)\s+(bool|num)\s*=\s*(.+)$")
 # an expression is ASCII words and single characters between blanks
 _TOKENS = re.compile(r"\s*(?P<tok>[A-Za-z0-9_]+|\S)")
+# parsing, compiling and valuing each recurse once per level of nesting, so
+# a bound far under Python's recursion limit keeps all three off it
+_MAX_NESTING = 100
 
 
 def _tokens(body: str, lineno: int) -> Tokens:
@@ -512,9 +515,11 @@ def _tokens(body: str, lineno: int) -> Tokens:
     return Tokens(body, _TOKENS, error, "unexpected end of expression")
 
 
-def _expr(ts: Tokens) -> Expr:
+def _expr(ts: Tokens, depth: int = 1) -> Expr:
     head = ts.next()
     word = head.text
+    if depth > _MAX_NESTING:
+        raise ts.error(f"expressions nest at most {_MAX_NESTING} deep", head)
     if word == "count":
         ts.next("(")
         p = _pattern(ts)
@@ -564,14 +569,14 @@ def _expr(ts: Tokens) -> Expr:
         return Builtin(name)
     if word == "sum":
         ts.next("(")
-        left = _expr(ts)
+        left = _expr(ts, depth + 1)
         ts.next(",")
-        right = _expr(ts)
+        right = _expr(ts, depth + 1)
         ts.next(")")
         return Sum(left, right)
     if word == "nonzero":
         ts.next("(")
-        inner = _expr(ts)
+        inner = _expr(ts, depth + 1)
         ts.next(")")
         return Nonzero(inner)
     raise ts.error(f"unknown expression '{word}'", head)

@@ -336,12 +336,16 @@ def _smallest_width(
     start: State | None = None,
     goal_test: GoalTest | None = None,
 ) -> int | None:
-    """Smallest k <= k_cap whose IW(k) returns a plan of length `optimal`;
-    IW(k) above the atom count n is IW(n), so no larger k is tried.  The
-    count is that of the numbered atoms: a tuple holding an atom that is
-    never true is never true, so it makes no state novel."""
+    """Smallest k <= k_cap whose IW(k) returns a plan of length `optimal`.
+    IW(0) expands only its start, so it does iff `optimal` <= 1, and the
+    searches start at k = 1.  IW(k) above the atom count n is IW(n), so no
+    larger k is tried.  The count is that of the numbered atoms: a tuple
+    holding an atom that is never true is never true, so it makes no state
+    novel."""
     _require_nonnegative("k_cap", k_cap)
-    for k in range(min(k_cap, problem.n_atoms) + 1):
+    if optimal <= 1:
+        return 0
+    for k in range(1, min(k_cap, problem.n_atoms) + 1):
         result = iw_k(problem, k, goal_test, start=start)
         if result.solved and len(result.plan) == optimal:
             return k

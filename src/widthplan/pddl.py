@@ -1,4 +1,4 @@
-"""Parser and printer for an untyped STRIPS subset of PDDL.
+"""Parser for an untyped STRIPS subset of PDDL.
 
 Grammar (case-insensitive, `;` line comments):
 
@@ -325,44 +325,3 @@ def _ground_atom(atom: SchemaAtom, head: Token, objects: list[str]) -> GroundAto
         if a not in objects:
             raise _error(f"undeclared object '{a}'", head)
     return GroundAtomAst(atom.predicate, atom.args)
-
-
-# ---------------------------------------------------------------------------
-# Printers (inverse of the parsers for generated content)
-
-
-def _fmt_atom(predicate: str, args: tuple[str, ...]) -> str:
-    return f"({predicate}{''.join(' ' + a for a in args)})"
-
-
-def format_domain(d: DomainAst) -> str:
-    lines = [f"(define (domain {d.name})", "  (:requirements :strips)"]
-    preds = " ".join(
-        _fmt_atom(p, tuple(f"?x{i}" for i in range(k))) for p, k in d.predicates
-    )
-    lines.append(f"  (:predicates {preds})")
-    for schema in d.schemas:
-        lines.append(f"  (:action {schema.name}")
-        lines.append(f"    :parameters ({' '.join(schema.params)})")
-        pre = " ".join(_fmt_atom(a.predicate, a.args) for a in schema.pre)
-        lines.append(f"    :precondition (and {pre})".rstrip() if pre else "    :precondition (and)")
-        eff = [_fmt_atom(a.predicate, a.args) for a in schema.add]
-        eff += [f"(not {_fmt_atom(a.predicate, a.args)})" for a in schema.delete]
-        lines.append(f"    :effect (and {' '.join(eff)}))" if eff else "    :effect (and))")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
-
-
-def format_problem(p: ProblemAst) -> str:
-    lines = [
-        f"(define (problem {p.name})",
-        f"  (:domain {p.domain_name})",
-        f"  (:objects {' '.join(p.objects)})",
-    ]
-    init = " ".join(_fmt_atom(a.predicate, a.args) for a in p.init)
-    lines.append(f"  (:init {init})")
-    goal = [_fmt_atom(a.predicate, a.args) for a in p.goal_pos]
-    goal += [f"(not {_fmt_atom(a.predicate, a.args)})" for a in p.goal_neg]
-    lines.append(f"  (:goal (and {' '.join(goal)}))" if goal else "  (:goal (and))")
-    lines.append(")")
-    return "\n".join(lines) + "\n"

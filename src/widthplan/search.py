@@ -213,7 +213,7 @@ def iw(
         if result.solved:
             result.iterations = iterations
             return result
-        if result.reason != "queue exhausted":  # the node limit
+        if max_nodes is not None and result.stats.generated > max_nodes:
             result.reason = f"{result.reason} at k={k}"
             result.iterations = iterations
             return result

@@ -97,6 +97,13 @@ def test_solve_iwphi_json_matches_the_library(gen_dir, capsys):
         result.stats.expanded, result.stats.generated, len(result.plan)) == (5, 12, 5)
 
 
+def test_solve_iwphi_names_a_feature_nested_too_deep(gen_dir, tmp_path, capsys):
+    features = tmp_path / "features.feat"
+    features.write_text("feature a bool = " + "nonzero(" * 1200 + "count(hold(_))" + ")" * 1200 + "\n")
+    code = _solve(gen_dir, "blocks-clear", "--alg", "iwphi", "--features", str(features))
+    assert (code, capsys.readouterr().err) == (2, "error: line 1: expressions nest at most 100 deep\n")
+
+
 def test_solve_siwr_hanoi_policy(gen_dir, capsys):
     d = gen_dir["hanoi"]
     code = _solve(

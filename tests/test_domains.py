@@ -1,6 +1,7 @@
 """Generated bundles: parse, ground, solve, and family-specific shape."""
 
 import re
+import zlib
 
 import pytest
 
@@ -183,3 +184,54 @@ def test_bundled_features_compile_on_every_default_instance():
         g = ground_bundle(bundle)
         for feature in parse_features(bundle.features_text):
             compile_feature(feature, g)
+
+
+def _sweep():
+    """(family, params) draws through `generate` covering every family and
+    every optional parameter."""
+    for l in range(1, 5):
+        yield "blocks-clear", {"l": str(l)}
+        yield "blocks-clear", {"l": str(l), "held": "y"}
+    for l in range(3):
+        for m in range(3):
+            yield "blocks-on", {"l": str(l), "m": str(m)}
+    yield "blocks", {"towers": "a.b;c", "goal": "on:c:a"}
+    yield "blocks", {"towers": "a.b.c", "goal": "clear:a"}
+    yield "blocks", {"towers": "a.b", "goal": "on:c:a", "held": "c"}
+    yield "blocks", {"towers": "a;b;c-1", "goal": "on:a:c-1", "held": "d_2"}
+    for w in range(1, 5):
+        for h in range(1, 4):
+            n = w * h
+            yield "grid", {"width": str(w), "height": str(h), "start": "1", "goal": str(n)}
+            yield "grid2", {"width": str(w), "height": str(h), "start": "1,1",
+                            "goal": f"{w},{h}"}
+            yield "delivery", {"width": str(w), "height": str(h), "packages": str(n),
+                               "target": "1", "start": str((n + 1) // 2)}
+            if n > 2:
+                yield "delivery", {"width": str(w), "height": str(h), "packages": f"2,{n},3",
+                                   "target": str(n - 1), "start": "1"}
+    for counts in ("0", "1", "2,1", "0,2", "3,0,1", "0,0", "2,2,2"):
+        yield "marbles", {"counts": counts}
+    for n in range(1, 5):
+        yield "hanoi", {"n": str(n)}
+        for a in (1, 2, 3):
+            for b in (1, 2, 3):
+                if a != b:
+                    yield "hanoi", {"n": str(n), "from": str(a), "to": str(b)}
+
+
+def test_generated_texts_are_pinned():
+    """One CRC32 over every text the sweep writes: domain, problem,
+    features, sketches and tuple sets, in the order the bundle holds them."""
+    crc, count = 0, 0
+    for family, params in _sweep():
+        bundle = generate(family, params)
+        texts = [bundle.family, bundle.domain_text, bundle.problem_text,
+                 bundle.features_text or ""]
+        for kind in (bundle.sketches, bundle.tuple_sets):
+            for key, text in kind.items():
+                texts += [key, text]
+        for text in texts:
+            crc = zlib.crc32(text.encode(), crc)
+            count += 1
+    assert (count, crc) == (974, 920596551)

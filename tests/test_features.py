@@ -496,6 +496,8 @@ FEATURE_DIAGNOSTICS = [
      "line 1: expected 'zero_if', found 'nonzero'"),
     (_DECL + "count(p(_))\n\nfeature a bool = nonzero(count(p(_)))",
      "line 3: duplicate feature name 'a'"),
+    # the 101st level of nesting (test_nesting_at_the_bound_is_valued)
+    (_DECL + "nonzero(" * 100 + "count(p(_))" + ")" * 100, "line 1: expressions nest at most 100 deep"),
 ]
 
 
@@ -504,6 +506,21 @@ def test_feature_diagnostics(text, message):
     with pytest.raises(FeatureError) as info:
         parse_features(text)
     assert type(info.value) is FeatureError and str(info.value) == message
+
+
+def test_nesting_at_the_bound_is_valued():
+    # 100 levels parse, compile and are valued; one more, in either
+    # argument of a sum, is a diagnostic
+    g = ground_bundle(domains.blocks_clear(2))
+    deep = "nonzero(" * 99 + "count(clear(_))" + ")" * 99
+    sums = "sum(" * 99 + "count(clear(_))" + ", count(hold(_)))" * 99
+    phi = parse_features(f"feature a bool = {deep}\nfeature b num = {sums}\n")
+    for feature in phi:
+        compile_feature(feature, g)
+    assert phi.valuation(g, g.init) == (1, 1)
+    for body in (f"sum({deep}, count(p(_)))", f"sum(count(p(_)), {deep})"):
+        with pytest.raises(FeatureError, match="^line 2: expressions nest at most 100 deep$"):
+            parse_features(f"\nfeature a num = {body}")
 
 
 # every compile-time error of compile_feature, on delivery(3,3,[3,8],1,5);

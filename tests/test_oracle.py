@@ -945,11 +945,16 @@ FAMILY_WALK_PINS = {
 }
 
 
+# sketch -> IW(k) searches of its subproblem widths on the same layout; a
+# subproblem of optimal length <= 1 has width 0 and needs none
+LADDER_SEARCHES = {"r4": 992, "r5": 931, "r8": 0}
+
+
 def test_family_build_walks_each_class_region_once(monkeypatch):
     bundle = domains.delivery(4, 4, [6, 11], 1, 12)
     space = enumerate_space(ground_bundle(bundle))
     phi = bundle_features(bundle)
-    walked = 0
+    walked = searches = 0
 
     def counting(space, i):
         nonlocal walked
@@ -957,12 +962,54 @@ def test_family_build_walks_each_class_region_once(monkeypatch):
             walked += 1
             yield step
 
+    def counting_iw_k(*args, **kwargs):
+        nonlocal searches
+        searches += 1
+        return iw_k(*args, **kwargs)
+
     monkeypatch.setattr(oracle, "_breadth_first", counting)
+    monkeypatch.setattr(oracle, "iw_k", counting_iw_k)
     for name, pin in FAMILY_WALK_PINS.items():
-        walked = 0
+        walked = searches = 0
         report = sketch_width_on(space, parse_sketch(bundle.sketches[name]), phi, 2)
         assert (report.value, report.family_size, _crc(report.subproblem_widths.items())) == pin, name
         assert walked <= 80 * len(space), (name, walked)
+        assert searches == LADDER_SEARCHES[name], name
+
+
+def _smallest_width_from_zero(problem, optimal, k_cap, *, start=None, goal_test=None):
+    """`_smallest_width` before IW(0) was decided without a search: IW(k)
+    for k = 0, 1, ... until one returns a plan of length `optimal`."""
+    for k in range(min(k_cap, problem.n_atoms) + 1):
+        result = iw_k(problem, k, goal_test, start=start)
+        if result.solved and len(result.plan) == optimal:
+            return k
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle=_small_bundles(), data=st.data())
+def test_smallest_width_matches_the_ladder_from_zero(bundle, data):
+    # from drawn starts to a drawn set of goal states, so that optimal
+    # lengths 0, 1 and more all occur
+    if bundle is None:
+        return
+    g = ground_bundle(bundle)
+    space = enumerate_space(g)
+    index = st.integers(0, len(space) - 1)
+    goals = set(data.draw(st.lists(index, min_size=1, max_size=4), label="goals"))
+
+    def goal_test(state):
+        return space.index[state] in goals
+
+    k_cap = data.draw(st.integers(0, 3), label="k_cap")
+    for i in data.draw(st.lists(index, min_size=1, max_size=3), label="starts"):
+        optimal = next((d for j, d in _breadth_first(space, i) if j in goals), None)
+        if optimal is None:
+            continue
+        args = (g, optimal, k_cap)
+        kwargs = {"start": space.states[i], "goal_test": goal_test}
+        assert _smallest_width(*args, **kwargs) == _smallest_width_from_zero(*args, **kwargs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -983,6 +1030,43 @@ def test_delivery_sketches_have_their_stated_widths(data):
         assert is_feature_acyclic_on(space, sketch, phi), name
         report = sketch_width_on(space, sketch, phi, 2)
         assert report.value == (0 if space.goal_flags[0] else stated), (name, report.reason)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_policy_sketches_have_sketch_width_zero(data):
+    # the `policy` sketch of Grid, Grid2, clear-goal Blocksworld and Marbles
+    # is acyclic with sketch width 0 on every small instance: each rule's
+    # subgoal is one action away.  Hanoi's is left out: it is not
+    # feature-acyclic on hanoi(2) or hanoi(3)
+    family = data.draw(st.sampled_from(["grid", "grid2", "blocks-clear", "marbles"]), label="family")
+    width, height = data.draw(st.integers(1, 4), label="width"), data.draw(st.integers(1, 3), label="height")
+    cell = st.integers(1, width * height)
+    pair = st.tuples(st.integers(1, width), st.integers(1, height))
+    if family == "grid":
+        bundle = domains.grid(width, height, data.draw(cell, label="start"), data.draw(cell, label="goal"))
+    elif family == "grid2":
+        bundle = domains.grid2(width, height, data.draw(pair, label="start"), data.draw(pair, label="goal"))
+    elif family == "blocks-clear":
+        held = data.draw(st.sampled_from([None, "y"]), label="held")
+        bundle = domains.blocks_clear(data.draw(st.integers(1, 3), label="height"), holding=held)
+    else:
+        counts = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=2), label="counts")
+        bundle = domains.marbles(counts)
+    space = enumerate_space(ground_bundle(bundle))
+    phi = bundle_features(bundle)
+    sketch = parse_sketch(bundle.sketches["policy"])
+    assert is_feature_acyclic_on(space, sketch, phi)
+    report = sketch_width_on(space, sketch, phi, 2)
+    assert report.value == 0, report.reason
+
+
+@pytest.mark.parametrize("n_disks", [2, 3])
+def test_hanoi_policy_sketch_is_not_feature_acyclic(n_disks):
+    bundle = domains.hanoi(n_disks)
+    space = enumerate_space(ground_bundle(bundle))
+    sketch = parse_sketch(bundle.sketches["policy"])
+    assert not is_feature_acyclic_on(space, sketch, bundle_features(bundle))
 
 
 def test_effective_width_errors():

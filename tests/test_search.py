@@ -164,6 +164,15 @@ def test_iw_stops_at_first_iteration_over_node_limit():
     assert len(r.iterations) == 3 and r.iterations[-1] is r.stats
 
 
+def test_iw_budget_that_no_iteration_exceeds_changes_nothing():
+    # the budget is met, not exceeded, by the iteration that generates most
+    g = ground_bundle(domains.hanoi(4))
+    free = iw(g)
+    r = iw(g, max_nodes=max(it.generated for it in free.iterations))
+    assert (r.outcome, r.plan, r.k, r.reason) == (free.outcome, free.plan, free.k, free.reason)
+    assert [it.generated for it in r.iterations] == [it.generated for it in free.iterations]
+
+
 def test_iw_rejects_max_k_out_of_range(qclear2):
     # only a negative max_k is out of range: one above the atom count runs
     # as the atom count, since no tuple is larger
