@@ -70,15 +70,17 @@ def enumerate_space(problem: GroundProblem, cap: int = DEFAULT_CAP) -> StateSpac
     """Breadth-first closure from the initial state; raises `OracleError`
     once it would hold more than `cap` states.
 
-    Applicability is read from byte tables compiled once per call
+    Applicability is read from byte tables built once per call
     (`strips.applicability_tables`): the AND of a state's entries is the
     mask of its applicable actions, whose set bits, low to high, are the
-    row's ascending action ids.
+    row's ascending action ids.  The loop is compiled for each call
+    (`_compile_kernel`) with that AND written out over the bytes the
+    preconditions read, so no state pays a loop over the tables.
     """
     if cap < 1:
         raise OracleError(f"cap must be >= 1, got {cap}")
     compiled = applicability_tables(problem)
-    n_bytes, tables, all_actions = compiled.n_bytes, compiled.tables, compiled.all_actions
+    kernel = _compile_kernel(compiled.n_bytes, [b for b, _ in compiled.tables])
     effects = [(~act.delete, act.add) for act in problem.actions]
     root = problem.init
     states = [root]  # also the FIFO: states are appended in dequeue order
@@ -86,39 +88,64 @@ def enumerate_space(problem: GroundProblem, cap: int = DEFAULT_CAP) -> StateSpac
     cost = array("i", [0])
     offsets = array("i", [0])
     targets = array("i")
-    lookup, push = index.get, targets.append
-    i = 0
-    n = 1
-    while i < n:
-        s = states[i]
-        c = cost[i] + 1
-        # ApplicabilityTables.applicable_mask, inlined: a method call per
-        # state made the whole loop about a third slower
-        m = all_actions
-        bs = s.to_bytes(n_bytes, "little")
-        for b, table in tables:
-            m &= table[bs[b]]
-        while m:
-            low = m & -m
-            m ^= low
-            keep, add = effects[low.bit_length() - 1]
-            succ = s & keep | add
-            j = lookup(succ)
-            if j is None:
-                if n >= cap:
-                    raise OracleError(f"state space exceeds cap {cap}")
-                j = index[succ] = n
-                n += 1
-                states.append(succ)
-                cost.append(c)
-            push(j)
-        offsets.append(len(targets))
-        i += 1
+    kernel(states, index, cost, offsets, targets, effects, cap, compiled.all_actions,
+           tuple(table for _, table in compiled.tables))
     pos, neg = problem.goal_pos, problem.goal_neg
     goal_flags = bytearray(s & pos == pos and not s & neg for s in states)
     first_goal = goal_flags.find(1)  # costs do not decrease along `states`
     problem_cost = cost[first_goal] if first_goal >= 0 else None
     return StateSpace(problem, states, index, cost, goal_flags, problem_cost, offsets, targets)
+
+
+# CPython's compiler recurses once per operand of a chained `&`: one AND of
+# 3,000 terms raises RecursionError, so the mask is built 32 terms a statement
+_TERMS_PER_STATEMENT = 32
+
+
+def _compile_kernel(n_bytes: int, read: list[int]):
+    """The breadth-first loop of `enumerate_space` for a problem whose
+    states are `n_bytes` long and whose preconditions read the bytes `read`,
+    ascending.  `ApplicabilityTables.applicable_mask` is unrolled into it:
+    `tables[k][bs[b]]` is the entry of the k-th table, that of byte b, for
+    the state's bytes `bs`.  The loop walks `states` and `cost` as they
+    grow, so they are also its FIFO.
+
+    The source holds only these integers and names that do not depend on
+    them: a name that only a kernel held would enter and leave the
+    interpreter's table of interned strings on every call.
+    """
+    terms = [f"tables[{k}][bs[{b}]]" for k, b in enumerate(read)]
+    mask = [f"bs = s.to_bytes({n_bytes}, 'little')"] if terms else ["m = all_actions"]
+    for k in range(0, len(terms), _TERMS_PER_STATEMENT):
+        mask.append(("m = " if k == 0 else "m &= ")
+                    + " & ".join(terms[k:k + _TERMS_PER_STATEMENT]))
+    source = "\n".join([
+        "def kernel(states, index, cost, offsets, targets, effects, cap, all_actions, tables):",
+        "    lookup, push = index.get, targets.append",
+        "    n = 1",
+        "    for s, c in zip(states, cost):",
+        "        c += 1",
+        *(f"        {line}" for line in mask),
+        "        while m:",
+        "            low = m & -m",
+        "            m ^= low",
+        "            keep, add = effects[low.bit_length() - 1]",
+        "            succ = s & keep | add",
+        "            j = lookup(succ)",
+        "            if j is None:",
+        "                if n >= cap:",
+        "                    raise OracleError(f'state space exceeds cap {cap}')",
+        "                j = index[succ] = n",
+        "                n += 1",
+        "                states.append(succ)",
+        "                cost.append(c)",
+        "            push(j)",
+        "        offsets.append(len(targets))",
+        "",
+    ])
+    namespace = {"OracleError": OracleError}
+    exec(compile(source, "<enumerate_space kernel>", "exec"), namespace)
+    return namespace.pop("kernel")  # no cycle through its globals
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +287,9 @@ def _admissible_direct(space: StateSpace, masks: list[State], costs: list[int]) 
 # Width bounds
 
 
-def _opt_membership(space: StateSpace, k: int) -> bytearray:
-    """For T = all tuples of size <= k: whether each state is a min-cost
-    state of some tuple true in it.
+def _opt_membership(space: StateSpace, k: int, max_cost: int) -> bytearray:
+    """For T = all tuples of size <= k: whether each state of cost <=
+    `max_cost` is a min-cost state of some tuple true in it.
 
     Costs do not decrease along `states`, so a tuple's min-cost states are
     the holders of the tuple in the first cost layer that holds it: a state
@@ -271,12 +298,16 @@ def _opt_membership(space: StateSpace, k: int) -> bytearray:
     layer, then folds in the members.  A state that is not a member holds
     no new tuple and so would add nothing to the table.  The empty tuple
     makes the initial state, alone in layer 0, a member at every k.
+
+    A state's membership depends only on the layers up to its own, so the
+    sweep stops after layer `max_cost`: the entries of the states above it
+    are 0 and must not be read.
     """
     _require_nonnegative("k", k)
     table = NoveltyTable(all_tuples_up_to(space.problem, k))
     states, cost = space.states, space.cost
-    n = len(states)
-    member = bytearray(n)
+    member = bytearray(len(states))
+    n = bisect_right(cost, max_cost)
     lo = 0
     while lo < n:
         hi = bisect_right(cost, cost[lo], lo)
@@ -290,14 +321,20 @@ def _opt_membership(space: StateSpace, k: int) -> bytearray:
 
 def lower_bound_witness(space: StateSpace, k: int) -> bool:
     """True iff no optimal goal-reaching trajectory stays inside the min-cost
-    states of size-<=k tuples; this certifies that the width exceeds k."""
+    states of size-<=k tuples; this certifies that the width exceeds k.
+
+    An optimal trajectory visits only states of cost <= the problem's cost
+    pc, so membership is decided for those layers alone: on blocks_on(2,3),
+    7,501 of the 65,990 states.
+    """
     _require_strips(space.problem, "the width lower bound")
     pc = space.problem_cost
     if pc is None:
         raise OracleError("width lower bound needs a solvable instance")
-    member = _opt_membership(space, k)
+    member = _opt_membership(space, k, pc)
     # one forward sweep: a cost + 1 edge leads to a later state, so every
-    # state is reached or not before the sweep gets to it
+    # state is reached or not before the sweep gets to it.  A successor of
+    # cost pc + 1 reads 0 from `member`, and the sweep stops before it
     cost, goal = space.cost, space.goal_flags
     offsets, targets = space.offsets, space.targets
     reached = bytearray(len(space))

@@ -3,6 +3,7 @@
 import random
 import zlib
 from array import array
+from bisect import bisect_right
 from collections import deque
 from itertools import combinations, permutations
 
@@ -35,6 +36,9 @@ from widthplan.oracle import (
     tuple_cost,
 )
 from widthplan.sketches import build_policy_graph, parse_sketch, sieve
+from widthplan.strips import (
+    GroundAction, GroundAtom, GroundProblem, applicability_tables, state_from_atoms,
+)
 from tests.conftest import bundle_features, ground_bundle
 
 
@@ -501,6 +505,97 @@ def test_enumeration_matches_reference_on_generated_bundles(bundle, data):
         assert outcomes == [f"state space exceeds cap {cap}"] * 2
 
 
+def _synthetic(n_atoms, actions, init, goal=()):
+    """A ground problem over `n_atoms` nullary atoms p0, p1, ...; `actions`
+    holds (pre, add, delete) atom-id lists."""
+    atoms = tuple(GroundAtom(i, f"p{i}", ()) for i in range(n_atoms))
+    ground_actions = tuple(
+        GroundAction(aid, f"a{aid}", (), *map(state_from_atoms, effects))
+        for aid, effects in enumerate(actions))
+    return GroundProblem("synthetic", atoms, ground_actions, state_from_atoms(init),
+                         state_from_atoms(goal), 0)
+
+
+# 4 bytes, of which preconditions read bytes 0 and 2: byte 1 is only added,
+# byte 3 only deleted, and a4 has an empty precondition
+UNREAD_BYTES = _synthetic(32, [
+    ([0], [1, 9], [0]),
+    ([1], [16, 25], [1, 31]),
+    ([16], [2, 10], [16]),
+    ([2, 16], [3], []),
+    ([], [8], [24]),
+], init=[0, 24, 31], goal=[2])
+
+
+def test_enumeration_matches_reference_on_kernel_shapes(empty_root, no_action):
+    grid2 = ground_bundle(domains.grid2(2, 2, (1, 1), (2, 2)))
+    shapes = {
+        # 2 atoms, one read byte, an empty precondition
+        "empty_root": (empty_root, 1, [0]),
+        # no action: no table, and the mask is `all_actions` = 0
+        "no_action": (no_action, 1, []),
+        "unread_bytes": (UNREAD_BYTES, 4, [0, 2]),
+        # 8 atoms: one full byte
+        "one_byte": (grid2, 1, [0]),
+    }
+    sizes = {}
+    for name, (problem, n_bytes, read) in shapes.items():
+        tables = applicability_tables(problem)
+        assert (tables.n_bytes, [b for b, _ in tables.tables]) == (n_bytes, read), name
+        assert tables.all_actions == (1 << len(problem.actions)) - 1
+        space = enumerate_space(problem)
+        _assert_same_space(space, _enumerate_reference(problem, len(space)))
+        sizes[name] = len(space)
+    assert sizes == {"empty_root": 3, "no_action": 1, "unread_bytes": 8, "one_byte": 4}
+
+
+@st.composite
+def _random_problems(draw):
+    """Up to 40 atoms and 8 actions, each reading, adding and deleting a few
+    random atoms, so that some bytes are never read."""
+    n_atoms = draw(st.integers(1, 40))
+    atom_lists = st.lists(st.integers(0, n_atoms - 1), max_size=3)
+    actions = draw(st.lists(st.tuples(atom_lists, atom_lists, atom_lists), max_size=8))
+    return _synthetic(n_atoms, actions, draw(atom_lists), draw(atom_lists))
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_random_problems())
+def test_enumeration_matches_reference_on_random_problems(problem):
+    outcomes = []
+    for enumerate_with in (enumerate_space, _enumerate_reference):
+        try:
+            outcomes.append(enumerate_with(problem, 300))
+        except OracleError as e:
+            outcomes.append(str(e))
+    if isinstance(outcomes[0], str):
+        assert outcomes == ["state space exceeds cap 300"] * 2
+    else:
+        _assert_same_space(*outcomes)
+
+
+def test_enumeration_compiles_a_precondition_of_3000_bytes():
+    # one action reads one atom of each of 3,000 bytes: a single AND of
+    # 3,000 terms would not compile.  It is applicable only where all of
+    # them hold, so every statement of the split AND counts
+    reads = [8 * b for b in range(3000)]
+    for init, size in ((reads, 2), (reads[1:], 1), (reads[:-1], 1)):
+        problem = _synthetic(8 * 3000, [(reads, [1], [])], init=init, goal=[1])
+        assert len(applicability_tables(problem).tables) == 3000
+        space = enumerate_space(problem)
+        _assert_same_space(space, _enumerate_reference(problem, len(space)))
+        assert len(space) == size
+
+
+def test_kernel_names_do_not_depend_on_the_problem():
+    # a name only a kernel held would enter and leave the interpreter's
+    # table of interned strings on every enumeration
+    codes = [oracle._compile_kernel(1, [0]).__code__,
+             oracle._compile_kernel(3000, list(range(0, 3000, 7))).__code__]
+    names = [code.co_varnames + code.co_names for code in codes]
+    assert names[0] == names[1]
+
+
 def _bfs_with_action_links(problem, accept):
     """The search engine as it was when each generated state kept a
     (parent, action id) link: plan, expanded, generated, pruned, goal state."""
@@ -640,7 +735,39 @@ def _membership_reference(space, k):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_opt_membership_matches_tuple_dicts(graph_space, k):
     _g, space = graph_space
-    assert [bool(m) for m in _opt_membership(space, k)] == _membership_reference(space, k)
+    member = _opt_membership(space, k, space.cost[-1])
+    assert [bool(m) for m in member] == _membership_reference(space, k)
+
+
+def _assert_bounded_membership(space, k, max_cost):
+    """The sweep bounded at `max_cost` decides the states up to that cost as
+    the full sweep does, and leaves the rest 0."""
+    full = _opt_membership(space, k, space.cost[-1])
+    bounded = _opt_membership(space, k, max_cost)
+    n = bisect_right(space.cost, max_cost)
+    assert len(bounded) == len(space)
+    assert bounded[:n] == full[:n] and not any(bounded[n:])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_opt_membership_bounded_at_the_problem_cost(graph_space, k):
+    _g, space = graph_space
+    assert space.problem_cost is not None
+    _assert_bounded_membership(space, k, space.problem_cost)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle=_small_bundles(), data=st.data())
+def test_opt_membership_bounded_at_any_cost(bundle, data):
+    if bundle is None:
+        return
+    space = enumerate_space(ground_bundle(bundle))
+    bounds = {data.draw(st.integers(0, space.cost[-1] + 1), label="max_cost")}
+    if space.problem_cost is not None:
+        bounds.add(space.problem_cost)
+    for k in range(4):
+        for max_cost in bounds:
+            _assert_bounded_membership(space, k, max_cost)
 
 
 def test_root_with_no_atom_is_a_member_at_every_k(empty_root):
@@ -649,7 +776,7 @@ def test_root_with_no_atom_is_a_member_at_every_k(empty_root):
     space = enumerate_space(empty_root)
     assert space.start == 0
     for k in range(4):
-        member = _opt_membership(space, k)
+        member = _opt_membership(space, k, space.cost[-1])
         assert member[0] == 1
         assert [bool(m) for m in member] == _membership_reference(space, k)
     assert lower_bound_witness(space, 0) is True

@@ -16,7 +16,7 @@ KEPT = {
     ("features", "boolean_projection"): "the reference the policy-graph tests compare against",
     ("oracle", "StateSpace.cost_star"): "the reference the cost* tests compare against",
     ("strips", "ApplicabilityTables.applicable_mask"):
-        "the tested specification of the loop that enumerate_space inlines",
+        "the tested specification of the loop that enumerate_space compiles",
     ("novelty", "format_tuple_set"): "writes the tuple sets that exact width will derive",
     ("strips", "replay"): "the plan validator that tests use",
     ("features", "_marbles_first_box"): "registered builtin, called through BUILTINS",
