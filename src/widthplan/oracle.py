@@ -412,7 +412,9 @@ def is_feature_acyclic_on(space: StateSpace, sketch: Sketch, phi: FeatureSet) ->
 
     Since the relation only depends on the valuations of a pair, a chain
     repeating a valuation exists iff the compatibility digraph over the
-    realized valuations has a cycle (self-loops included).
+    realized valuations has a cycle (self-loops included).  Valuations are
+    over the whole header, as the paper defines acyclicity over all of the
+    sketch's features.
     """
     _, compat = _compatibility(space, sketch, phi)
     n = len(compat)
@@ -447,10 +449,13 @@ def sketch_width_on(
     whose subgoals are all in the family.  A member inside its class's
     region walks only to its nearest goal or subgoal, for the distance, and
     adds no start: the family is the same as if every member walked fully.
+    Classes are taken over `sketch.read`, as the features no rule reads
+    decide no subgoal.
     """
     _require_nonnegative("k_cap", k_cap)
     problem = space.problem
-    state_val, compat = _compatibility(space, sketch, phi)
+    # the selection checks the whole header's names and kinds
+    state_val, compat = _compatibility(space, sketch.read, phi.select(sketch.names_kinds))
     states, index, goal_flags = space.states, space.index, space.goal_flags
     offsets, targets = space.offsets, space.targets
     family: list[int] = [0]

@@ -62,26 +62,30 @@ def siw_r(
     or when a segment ends in a state that already started one (`reason`
     starts with "cycle").  Segment starts are distinct states, so the loop
     ends on any finite state space.
+
+    The subgoal test values states on `sketch.read` alone.  Each segment's
+    end is valued on the whole header, which the next segment starts from,
+    so a feature no rule reads is valued only at segment ends.
     """
-    bound = phi.select(sketch.names_kinds)
+    full = phi.select(sketch.names_kinds)
+    read = sketch.read
+    bound = phi.select(read.names_kinds)
+    at = [sketch.features.index(f) for f in read.features]  # read -> header position
     totals = SearchStats()
     segments: list[Segment] = []
     plan: list[int] = []
     s = problem.init
-    seen_starts = {s}
+    starts: dict[State, tuple[int, ...]] = {}  # segment start -> its valuation
+    start_values = None
 
     while not is_goal(problem, s):
-        start_values = bound.valuation(problem, s)
-        # the search stops at the first state the test accepts, so the last
-        # state valued is the segment's end unless that end is a goal
-        last_state, last_values = None, None
+        if start_values is None:
+            start_values = full.valuation(problem, s)
+        starts[s] = start_values
+        start_read = tuple([start_values[i] for i in at])
 
         def subgoal(st: State) -> bool:
-            nonlocal last_state, last_values
-            if is_goal(problem, st):
-                return True
-            last_state, last_values = st, bound.valuation(problem, st)
-            return relation(sketch, start_values, last_values)
+            return is_goal(problem, st) or relation(read, start_read, bound.valuation(problem, st))
 
         result = iw(problem, subgoal, start=s, max_k=k_max, max_nodes=max_nodes)
         totals = sum_stats([totals, *result.iterations])
@@ -91,17 +95,15 @@ def siw_r(
                 reason=f"inner search exhausted k_max={k_max}: {result.reason}",
             )
         s2 = result.goal_state
-        end_values = last_values if s2 == last_state else bound.valuation(problem, s2)
+        end_values = starts[s2] if s2 in starts else full.valuation(problem, s2)
         segments.append(Segment(result.k, result.plan, start_values, end_values, result.iterations))
         plan.extend(result.plan)
-        s = s2
-        if not is_goal(problem, s):
-            if s in seen_starts:
-                return SerializedResult(
-                    Outcome.FAILURE, None, segments, totals,
-                    reason="cycle guard: segment start revisited",
-                )
-            seen_starts.add(s)
+        s, start_values = s2, end_values
+        if s in starts:  # only non-goal states start a segment
+            return SerializedResult(
+                Outcome.FAILURE, None, segments, totals,
+                reason="cycle guard: segment start revisited",
+            )
 
     return SerializedResult(Outcome.SOLVED, plan, segments, totals, goal_state=s)
 
@@ -121,8 +123,11 @@ class PolicyRun:
 
 def run_policy(problem: GroundProblem, sketch: Sketch, phi: FeatureSet) -> PolicyRun:
     """Follow the rule relation greedily from the initial state, taking the
-    first compatible successor in canonical action order at each step."""
-    bound = phi.select(sketch.names_kinds)
+    first compatible successor in canonical action order at each step.
+    States are valued on `sketch.read` alone: a feature no rule reads is
+    never valued."""
+    read = sketch.read
+    bound = phi.select(sketch.names_kinds).select(read.names_kinds)  # checks the whole header
     acts = problem.actions
     s = problem.init
     states = [s]
@@ -142,7 +147,7 @@ def run_policy(problem: GroundProblem, sketch: Sketch, phi: FeatureSet) -> Polic
         for aid in aids:
             act = acts[aid]
             succ = (s & ~act.delete) | act.add
-            if relation(sketch, values, bound.valuation(problem, succ)):
+            if relation(read, values, bound.valuation(problem, succ)):
                 break
         else:
             status = "stuck"

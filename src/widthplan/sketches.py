@@ -1,7 +1,9 @@
 """Condition->effect rules over features, compiled once per sketch into bit
 masks (`Sketch.masks`) that serve the subgoal relation, the Boolean policy
 graph, the SCC-based termination check (sieve) and the oracle; no other
-code reads a rule's ops.
+code reads a rule's ops.  `Sketch.read` drops the features no rule
+constrains: searches and the sketch-width oracle value states on it alone,
+while segment values and feature-acyclicity keep the whole header.
 
 Sketch file grammar (bit-exact tokens, `#` comments):
 
@@ -78,6 +80,23 @@ class Sketch:
                       ~_mask(r, *_BOOL_EFFS, *_NUM_EFFS))
             for r in self.rules
         )
+
+    @cached_property
+    def read(self) -> "Sketch":
+        """The sketch over the features some rule constrains, in header order.
+        A feature that every rule leaves `?` with no condition changes no
+        verdict of `relation`, so it is unread; with no rules, all are."""
+        unread = -1  # every bit
+        for m in self.masks:
+            unread &= m.anys & ~(m.need | m.forbid)
+        kept = {old: new for new, old in enumerate(
+            i for i in range(len(self.features)) if not unread >> i & 1)}
+
+        def restrict(pairs):
+            return tuple((kept[i], op) for i, op in pairs if i in kept)
+
+        return Sketch(tuple(self.features[i] for i in kept),
+                      tuple(Rule(restrict(r.conditions), restrict(r.effects)) for r in self.rules))
 
     @cached_property
     def numeric(self) -> int:

@@ -3,6 +3,7 @@
 import random
 import zlib
 from array import array
+from dataclasses import replace
 from bisect import bisect_right
 from collections import deque
 from itertools import combinations, permutations
@@ -429,13 +430,24 @@ def _enumerate_reference(problem, cap):
     return StateSpace(problem, states, index, cost, goal_flags, problem_cost, offsets, targets)
 
 
+def _first_difference(got, want):
+    """The first index at which two sequences differ, or None if they are equal."""
+    differ = (i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+    return next(differ, None if len(got) == len(want) else min(len(got), len(want)))
+
+
 def _assert_same_space(space, reference):
+    # states are integers of up to an atom count of bits, which pytest would
+    # print whole: report where the sequences part and how long they are
     assert space.problem is reference.problem
-    assert space.states == reference.states
-    assert list(space.index.items()) == list(reference.index.items())
-    for name in ("cost", "offsets", "targets"):
+    for name in ("states", "index", "cost", "offsets", "targets"):
         got, want = getattr(space, name), getattr(reference, name)
-        assert got.typecode == want.typecode and got == want, name
+        if name == "index":
+            got, want = list(got.items()), list(want.items())
+        elif name != "states":
+            assert got.typecode == want.typecode, name
+        i = _first_difference(got, want)
+        assert i is None, f"{name} differ first at index {i}; lengths {len(got)} and {len(want)}"
     assert type(space.goal_flags) is bytearray and space.goal_flags == reference.goal_flags
     assert space.problem_cost == reference.problem_cost
 
@@ -443,6 +455,17 @@ def _assert_same_space(space, reference):
 def test_enumeration_matches_reference_loop(graph_space):
     g, space = graph_space
     _assert_same_space(space, _enumerate_reference(g, len(space)))
+
+
+def test_a_space_mismatch_names_its_first_index():
+    g = ground_bundle(domains.grid(3, 1, 1, 3))
+    space = enumerate_space(g)
+    states = [*space.states[:1], 1 << 5000, *space.states[1:]]
+    with pytest.raises(AssertionError, match="states differ first at index 1; lengths 4 and 3"):
+        _assert_same_space(replace(space, states=states), space)
+    n = len(space.targets)
+    with pytest.raises(AssertionError, match=f"targets differ first at index {n - 1}; lengths {n - 1} and {n}"):
+        _assert_same_space(replace(space, targets=space.targets[:-1]), space)
 
 
 @st.composite

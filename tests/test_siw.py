@@ -4,11 +4,19 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from widthplan import Outcome, applicable_actions, bfs_optimal, domains, is_goal, replay
+from widthplan import (
+    Outcome, applicable_actions, bfs_optimal, domains, ground, is_goal, iw, parse_domain,
+    parse_problem, replay,
+)
+from widthplan.features import FeatureError, parse_features
+from widthplan.oracle import enumerate_space, is_feature_acyclic_on, sketch_width_on
 from widthplan.siw import run_policy, siw_r
 from widthplan.sketches import parse_sketch, relation
 from tests.conftest import bundle_features, bundle_sketch, ground_bundle
+from tests.test_oracle import _sketch_width_walking_every_member, _small_bundles
 
 
 def _replay_serialized(problem, result):
@@ -168,8 +176,8 @@ def test_siwr_delivery_parity_pins(layout):
         assert res.solved
         assert (len(res.plan), len(res.segments), res.stats.expanded,
                 res.stats.generated) == pin, rules
-        # each segment's end valuation, reused from its subgoal test, is the
-        # valuation of the state the segment reaches
+        # each segment's start and end values are the whole header's values
+        # of the states the segment starts from and reaches
         bound = phi.select(sketch.names_kinds)
         s = g.init
         for seg in res.segments:
@@ -273,3 +281,140 @@ def test_run_policy_stops_at_the_step_cap(monkeypatch):
     assert run.status == "cap" and not run.reached_goal
     assert (len(run.actions), run.expanded, run.generated) == (3, 3, 8)
     assert run.states == replay(g, run.actions)
+
+
+# Moves follow `link`, a -> b -> c; the distance d follows `road`, which
+# leads from a to c and not from b, so d fails on b alone.
+_ROADS_DOMAIN = """(define (domain roads)
+  (:predicates (at ?x) (link ?x ?y) (road ?x ?y))
+  (:action move :parameters (?x ?y)
+    :precondition (and (at ?x) (link ?x ?y))
+    :effect (and (at ?y) (not (at ?x)))))
+"""
+_ROADS_FEATURES = parse_features(
+    "feature B bool = nonzero(count(at(b)))\n"
+    "feature C bool = nonzero(count(at(c)))\n"
+    "feature d num = distance(at, road, cells(c))\n"
+)
+# d is unread: each rule leaves it `?`.  One segment a -> c; then two, a -> b -> c
+_TO_C = parse_sketch("features { C: bool; d: num; } rules { { !C } => { C, d? }; }")
+_BY_B = parse_sketch("features { B: bool; C: bool; d: num; }\n"
+                     "rules { { !B, !C } => { B, d? }; { B } => { !B, C, d? }; }")
+
+
+def _roads(start):
+    problem = f"""(define (problem roads-3) (:domain roads) (:objects a b c)
+  (:init (at {start}) (link a b) (link b c) (road a c)) (:goal (and (at c))))"""
+    return ground(parse_domain(_ROADS_DOMAIN), parse_problem(problem))
+
+
+def test_an_unread_feature_is_not_valued_inside_a_segment():
+    # the subgoal test values b on C alone; the old full-header test raised
+    g = _roads("a")
+    res = siw_r(g, _TO_C, _ROADS_FEATURES, k_max=1)
+    assert res.solved and len(res.plan) == 2
+    assert [(seg.start_values, seg.end_values) for seg in res.segments] == [((0, 1), (1, 0))]
+    # run_policy and the sketch-width oracle value only B and C
+    assert run_policy(g, _BY_B, _ROADS_FEATURES).reached_goal
+    space = enumerate_space(g)
+    assert sketch_width_on(space, _BY_B, _ROADS_FEATURES).value == 0
+    # feature-acyclicity is over the whole header, so it values d on b
+    with pytest.raises(FeatureError, match="reachable from 'b'"):
+        is_feature_acyclic_on(space, _BY_B, _ROADS_FEATURES)
+
+
+def test_an_unread_feature_still_fails_at_segment_ends():
+    # segment starts and ends are valued on the whole header
+    with pytest.raises(FeatureError, match="reachable from 'b'"):
+        siw_r(_roads("a"), _BY_B, _ROADS_FEATURES, k_max=1)  # the first segment ends on b
+    with pytest.raises(FeatureError, match="reachable from 'b'"):
+        siw_r(_roads("b"), _TO_C, _ROADS_FEATURES, k_max=1)  # the first segment starts on b
+
+
+def test_an_unread_feature_must_still_be_declared():
+    # names and kinds are checked over the whole header
+    sketch = parse_sketch("features { C: bool; x: num; } rules { { !C } => { C, x? }; }")
+    g = _roads("a")
+    for run in (lambda: siw_r(g, sketch, _ROADS_FEATURES, k_max=1),
+                lambda: run_policy(g, sketch, _ROADS_FEATURES),
+                lambda: sketch_width_on(enumerate_space(g), sketch, _ROADS_FEATURES)):
+        with pytest.raises(FeatureError, match="feature 'x' not defined"):
+            run()
+
+
+# -- parity with valuing the whole header ----------------------------------------
+
+
+def _siw_r_full_header(problem, sketch, phi, k_max):
+    """`siw_r` with a subgoal test over the sketch's whole header: (plan,
+    [(k, plan, start values, end values)], expanded, generated, reason)."""
+    bound = phi.select(sketch.names_kinds)
+    s, seen, plan, segments, runs = problem.init, {problem.init}, [], [], []
+    reason = None
+    while not is_goal(problem, s):
+        start = bound.valuation(problem, s)
+        result = iw(problem, lambda st: is_goal(problem, st) or relation(
+            sketch, start, bound.valuation(problem, st)), start=s, max_k=k_max)
+        runs += result.iterations
+        if not result.solved:
+            plan, reason = None, f"inner search exhausted k_max={k_max}: {result.reason}"
+            break
+        s = result.goal_state
+        segments.append((result.k, result.plan, start, bound.valuation(problem, s)))
+        plan += result.plan
+        if not is_goal(problem, s):
+            if s in seen:
+                plan, reason = None, "cycle guard: segment start revisited"
+                break
+            seen.add(s)
+    return (plan, segments, sum(it.expanded for it in runs), sum(it.generated for it in runs),
+            reason)
+
+
+def _run_policy_full_header(problem, sketch, phi):
+    """`run_policy` over the sketch's whole header: (status, states, actions,
+    expanded, generated)."""
+    bound = phi.select(sketch.names_kinds)
+    s, states, actions, expanded, generated = problem.init, [problem.init], [], 0, 0
+    status = "goal"
+    while not is_goal(problem, s):
+        values = bound.valuation(problem, s)
+        aids = applicable_actions(problem, s)
+        expanded, generated = expanded + 1, generated + len(aids)
+        succs = [(aid, (s & ~problem.actions[aid].delete) | problem.actions[aid].add) for aid in aids]
+        step = next(((aid, t) for aid, t in succs
+                     if relation(sketch, values, bound.valuation(problem, t))), None)
+        if step is None:
+            status = "stuck"
+            break
+        actions.append(step[0])
+        s = step[1]
+        if s in states:
+            status = "cyclic"
+            states.append(s)
+            break
+        states.append(s)
+    return status, states, actions, expanded, generated
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle=_small_bundles(("delivery",)), data=st.data())
+def test_valuing_the_read_features_changes_no_result(bundle, data):
+    if bundle is None:
+        return
+    g, phi = ground_bundle(bundle), bundle_features(bundle)
+    space = enumerate_space(g)
+    for name in ("r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8"):
+        sketch = bundle_sketch(bundle, name)
+        k_max = data.draw(st.integers(0, 2), label=f"k_max {name}")
+        res = siw_r(g, sketch, phi, k_max=k_max)
+        segments = [(seg.k, seg.plan, seg.start_values, seg.end_values) for seg in res.segments]
+        assert (res.plan, segments, res.stats.expanded, res.stats.generated, res.reason) == \
+            _siw_r_full_header(g, sketch, phi, k_max), name
+        run = run_policy(g, sketch, phi)
+        assert (run.status, run.states, run.actions, run.expanded, run.generated) == \
+            _run_policy_full_header(g, sketch, phi), name
+        report = sketch_width_on(space, sketch, phi, 2)
+        value, size, widths, reason = _sketch_width_walking_every_member(space, sketch, phi, 2)
+        assert (report.value, report.family_size, list(report.subproblem_widths.items()),
+                report.reason) == (value, size, list(widths.items()), reason), name

@@ -490,3 +490,38 @@ def test_relation_matches_the_op_loop(case):
     assert relation(sketch, fs, fs2) == any(_pair_satisfies(rule, fs, fs2) for rule in sketch.rules)
     # a valuation and itself, which no rule with n++ or n-- relates
     assert relation(sketch, fs, fs) == any(_pair_satisfies(rule, fs, fs) for rule in sketch.rules)
+
+
+@given(_valuation_pairs())
+@settings(max_examples=400, deadline=None)
+def test_the_read_sketch_keeps_the_relation(case):
+    # `read` keeps a feature iff some rule has a condition on it or an
+    # effect other than `?` (no effect at all keeps its value)
+    sketch, fs, fs2 = case
+    read = sketch.read
+    constrained = [i for i in range(len(sketch.features)) if any(
+        any(j == i for j, _ in rule.conditions)
+        or not any(j == i and op in (ANYBOOL, ANYNUM) for j, op in rule.effects)
+        for rule in sketch.rules)]
+    assert read.features == tuple(sketch.features[i] for i in constrained)
+    assert len(read.rules) == len(sketch.rules)
+
+    at = [sketch.features.index(f) for f in read.features]
+
+    def proj(values):
+        return tuple(values[i] for i in at)
+
+    assert relation(sketch, fs, fs2) == relation(read, proj(fs), proj(fs2))
+    assert relation(sketch, fs, fs) == relation(read, proj(fs), proj(fs))
+
+
+def test_the_read_sketch_of_delivery_rules():
+    # r4 reads u alone, r5 H and u; a `?` on a feature another rule reads stays
+    bodies = ["{ u>0 } => { u--, H?, p?, t? };",
+              "{ !H } => { H, p?, t? }; { u>0 } => { u--, H?, p?, t? };",
+              "{ H } => { u? };", ""]
+    read = [parse_sketch(DELIVERY_HEADER + "rules { " + body + " }\n").read for body in bodies]
+    assert [sk.names_kinds for sk in read] == [
+        [("u", "num")], [("H", "bool"), ("u", "num")], [("H", "bool"), ("p", "num"), ("t", "num")], []]
+    assert read[1].rules == (Rule(((0, NEG),), ((0, SET),)), Rule(((1, GT0),), ((0, ANYBOOL), (1, DEC))))
+    assert read[3].rules == ()
