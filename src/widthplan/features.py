@@ -87,11 +87,18 @@ class ChainCount:
 class CellTargets:
     objects: tuple[str, ...]
 
+    def __str__(self) -> str:
+        return f"cells({', '.join(self.objects)})"
+
 
 @dataclass(frozen=True)
 class PatternTargets:
     pattern: Pattern
     exclude: tuple[str, ...] = ()
+
+    def __str__(self) -> str:
+        exclude = f", not {', '.join(self.exclude)}" if self.exclude else ""
+        return f"cells_of({self.pattern}{exclude})"
 
 
 @dataclass(frozen=True)

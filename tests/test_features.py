@@ -242,14 +242,24 @@ def test_distance_unreachable_target():
     g, phi = _delivery([3])
     # a package is no grid cell, so no adjacency path ends at it
     bad = parse_features("feature t num = distance(pos, adjacent, cells(p1))\n")
-    with pytest.raises(FeatureError, match="no target .* reachable from 'c5'"):
+    with pytest.raises(FeatureError, match=r"^distance: no target of cells\(p1\) reachable from 'c5'$"):
         bad.valuation(g, g.init)
     # a state without the adjacency facts of the initial state is walked over
     # its own facts: from c5, cut off from c1
     cut = [a for a in g.atoms if a.predicate == "adjacent" and "c5" in a.args]
     s = _forge(g, g.init, drop=[(a.predicate, a.args) for a in cut])
-    with pytest.raises(FeatureError, match="no target .* reachable from 'c5'"):
+    msg = r"^distance: no target of cells_of\(ppos\(_, _\), not c1\) reachable from 'c5'$"
+    with pytest.raises(FeatureError, match=msg):
         phi.valuation(g, s)
+
+
+@pytest.mark.parametrize("targets", [
+    "cells(c1)", "cells(c1, c2)", "cells_of(ppos(_, _))", "cells_of(ppos(_, c2), not c1, c3)",
+])
+def test_distance_targets_print_as_written(targets):
+    # a distance error names its targets in feature syntax
+    phi = parse_features(f"feature d num = distance(pos, adjacent, {targets})\n")
+    assert str(phi.by_name["d"].expr.targets) == targets
 
 
 def test_chain_two_links_from_one_object():

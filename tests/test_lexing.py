@@ -1,8 +1,11 @@
 """The shared token stream against the three hand-written lexers it
 replaced, kept here as test-only copies: on any text both give the same
-(text, line, col) tokens, or raise the same exception."""
+(text, line, col) tokens, or raise the same exception.  And the parsers
+read the stream only through `peek` and `next`."""
 
+import ast
 import re
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -175,3 +178,17 @@ def test_sketch_tokens_match_the_old_lexer(text):
 @example(" ")
 def test_feature_tokens_match_the_old_lexer(text):
     _compare(text, _old_features, _old_features_expected, lambda body: features._tokens(body, 7))
+
+
+def test_only_the_stream_moves_its_position():
+    """No module of the library but `lexing` assigns an attribute `pos`: a
+    parser reads tokens forward through `peek` and `next`, never rewinds."""
+    src = Path(__file__).resolve().parent.parent / "src" / "widthplan"
+    assigned = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "lexing.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Attribute) and n.attr == "pos" and isinstance(n.ctx, ast.Store):
+                assigned.append(f"{path.name}:{n.lineno}")
+    assert assigned == []

@@ -87,14 +87,24 @@ TUPLE_SET_BUNDLES = [
 ]
 
 
+def _solved_optimally_by_iw(g, space, tuples):
+    """An admissible tuple set T makes IW(T) optimal, and IW(k) too, with k
+    the size of T's largest tuple."""
+    k = max(map(len, tuples.tuples))
+    for result in (iw_t(g, tuples), iw_k(g, k)):
+        assert result.solved and len(result.plan) == space.problem_cost, (k, tuples)
+
+
 @pytest.mark.parametrize("make", [m for _, m in TUPLE_SET_BUNDLES], ids=[n for n, _ in TUPLE_SET_BUNDLES])
 def test_bundled_tuple_sets_are_admissible(make):
     bundle = make()
     g = ground_bundle(bundle)
     space = enumerate_space(g)
     for name, text in bundle.tuple_sets.items():
-        report = is_admissible(space, parse_tuple_set(text, g))
+        tuples = parse_tuple_set(text, g)
+        report = is_admissible(space, tuples)
         assert report.ok and report.envelope.ok, (name, report.reason)
+        _solved_optimally_by_iw(g, space, tuples)
 
 
 def test_opt_states_clear_goal(qclear2):
@@ -211,6 +221,38 @@ def test_dual_route_agreement_randomized(name, make):
             assert len(result.plan) == space.problem_cost
             assert result.stats.expanded <= len(ts)
     assert admissible_seen >= 0  # agreement is the assertion; hits vary
+
+
+# tiny instances, by the name that seeds their draws, and how many of the
+# 1,500 draws are admissible
+IMPLICATION_INSTANCES = [
+    ("grid-1x4", lambda: domains.grid(4, 1, 1, 4), 8),
+    ("grid2-2x2", lambda: domains.grid2(2, 2, (1, 1), (2, 2)), 16),
+    ("qclear-2", lambda: domains.blocks_clear(2), 19),
+    ("qclear-2-held", lambda: domains.blocks_clear(2, holding="y"), 1),
+    ("hanoi-1", lambda: domains.hanoi(1), 147),
+    ("delivery-2x1", lambda: domains.delivery(2, 1, [2], target=1, start=1), 1),
+]
+
+
+@pytest.mark.parametrize("name,make,admissible", IMPLICATION_INSTANCES,
+                         ids=[n for n, _, _ in IMPLICATION_INSTANCES])
+def test_admissible_tuple_sets_make_iw_optimal(name, make, admissible):
+    # seeded draws of 1-6 tuples of 1-2 atoms, each true in a reachable state
+    g = ground_bundle(make())
+    space = enumerate_space(g)
+    rng = random.Random(zlib.crc32(name.encode()))
+    seen = 0
+    for _ in range(1500):
+        tuples = []
+        for _ in range(rng.randint(1, 6)):
+            atoms = atoms_of(space.states[rng.randrange(len(space))])
+            tuples.append(tuple(rng.sample(atoms, rng.randint(1, min(2, len(atoms))))))
+        ts = TupleSet.from_iterable(tuples)
+        if is_admissible(space, ts).ok:
+            seen += 1
+            _solved_optimally_by_iw(g, space, ts)
+    assert seen == admissible
 
 
 def _goal_reaching_paths(space, step_ok):

@@ -1,12 +1,18 @@
 """The parser: round trips through the generators' problem writer,
-diagnostics, and totality on arbitrary input."""
+diagnostics, a pin of what it reads from every generated text, and totality
+on arbitrary input and on one-token mutants of generated texts."""
+
+import zlib
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthplan import domains, parse_domain, parse_problem
-from widthplan.pddl import PddlError
+from widthplan.domains import generate
+from widthplan.pddl import _TOKENS, PddlError
+from tests.test_domains import _sweep
 
 ALL_BUNDLES = [
     domains.blocks_clear(2),
@@ -208,3 +214,62 @@ def test_pddl_diagnostics(parse, text, message, line, col):
     where = "" if line is None else f" at {line}:{col}"
     assert type(info.value) is PddlError
     assert (str(info.value), info.value.line, info.value.col) == (message + where, line, col)
+
+
+@cache
+def _sweep_texts() -> tuple[tuple[str, str], ...]:
+    """(domain text, problem text) of every draw of the generator sweep."""
+    return tuple((b.domain_text, b.problem_text) for b in (generate(*d) for d in _sweep()))
+
+
+def _atoms(atoms) -> tuple:
+    return tuple((a.predicate, a.args) for a in atoms)
+
+
+def test_parse_results_are_pinned():
+    """One CRC32 over what the parsers read from every generated domain and
+    problem, rendered as tuples of strings so that no class name enters."""
+    crc, count = 0, 0
+    for domain_text, problem_text in _sweep_texts():
+        d, p = parse_domain(domain_text), parse_problem(problem_text)
+        schemas = tuple((s.name, s.params, _atoms(s.pre), _atoms(s.add), _atoms(s.delete))
+                        for s in d.schemas)
+        for rendering in ((d.name, d.predicates, schemas),
+                          (p.name, p.domain_name, p.objects, _atoms(p.init),
+                           _atoms(p.goal_pos), _atoms(p.goal_neg))):
+            crc = zlib.crc32(repr(rendering).encode(), crc)
+            count += 1
+    assert (count, crc) == (202, 171346948)
+
+
+@st.composite
+def _token_mutants(draw) -> tuple:
+    """(parser, text): a generated domain or problem text with one token
+    deleted, duplicated, or swapped with another, its layout kept."""
+    domain_text, problem_text = draw(st.sampled_from(_sweep_texts()))
+    parse, text = draw(st.sampled_from([(parse_domain, domain_text), (parse_problem, problem_text)]))
+    spans = [m.span("tok") for m in _TOKENS.finditer(text) if m.group("tok")]
+    one, other = draw(st.lists(st.sampled_from(spans), min_size=2, max_size=2, unique=True))
+    op = draw(st.sampled_from(["delete", "duplicate", "swap"]))
+    s, e = one
+    if op == "delete":
+        return parse, text[:s] + text[e:]
+    if op == "duplicate":
+        return parse, text[:e] + " " + text[s:e] + text[e:]
+    (s, e), (s2, e2) = sorted((one, other))
+    return parse, text[:s] + text[s2:e2] + text[e:s2] + text[s:e] + text[e2:]
+
+
+@given(_token_mutants())
+@settings(max_examples=300, deadline=None)
+def test_parser_total_on_token_mutants(mutant):
+    # a mutant parses or raises PddlError, whose position, when it names one,
+    # is a character of the text that starts a token
+    parse, text = mutant
+    try:
+        parse(text)
+    except PddlError as exc:
+        if exc.line is not None:
+            lines = text.split("\n")
+            assert 1 <= exc.line <= len(lines) and exc.col >= 1
+            assert lines[exc.line - 1][exc.col - 1:exc.col].strip()
