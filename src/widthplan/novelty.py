@@ -128,10 +128,14 @@ class NoveltyTable:
 
     def __init__(self, tracked: TupleSet | TupleUniverse):
         self.tracked = tracked
+        # how `register` dispatches, fixed per table: 0 over an explicit
+        # set, 1 over a universe of k <= 2 (one fused pass), 2 above
         if isinstance(tracked, TupleSet):
+            self._mode = 0
             self._masks = tracked.masks()
             self._seen = [False] * len(self._masks)
         else:
+            self._mode = 1 if tracked.k <= 2 else 2
             self._k = tracked.k
             self._fluent = tracked.fluent
             self._empty_seen = False
@@ -144,7 +148,37 @@ class NoveltyTable:
             self._with: dict[State, State] = {}
 
     def register(self, s: State, delta: State | None = None) -> bool:
-        if isinstance(self.tracked, TupleSet):
+        mode = self._mode
+        if mode == 1 and self._empty_seen:
+            # `novel` then `add` for k <= 2, with gained and fs taken once
+            gained = s if delta is None else s & delta
+            seen1 = self._seen1
+            fs = s & self._fluent
+            pair = self._pair
+            novel = gained & ~seen1
+            if not novel and pair is not None:
+                rest = fs & gained
+                while rest and not novel:
+                    low = rest & -rest
+                    rest ^= low
+                    unseen = fs & ~(pair[low.bit_length() - 1] | low)
+                    while unseen:
+                        a = unseen & -unseen
+                        unseen ^= a
+                        if not pair[a.bit_length() - 1] & low:
+                            novel = True
+                            break
+            if not novel:
+                return False
+            self._seen1 = seen1 | s
+            if pair is not None:
+                rest = fs & gained
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    pair[low.bit_length() - 1] |= fs
+            return True
+        if mode == 0:
             return self._register_explicit(s)
         if not self.novel(s, delta):
             return False

@@ -81,14 +81,13 @@ def enumerate_space(problem: GroundProblem, cap: int = DEFAULT_CAP) -> StateSpac
         raise OracleError(f"cap must be >= 1, got {cap}")
     compiled = applicability_tables(problem)
     kernel = _compile_kernel(compiled.n_bytes, [b for b, _ in compiled.tables])
-    effects = [(~act.delete, act.add) for act in problem.actions]
     root = problem.init
     states = [root]  # also the FIFO: states are appended in dequeue order
     index = {root: 0}
     cost = array("i", [0])
     offsets = array("i", [0])
     targets = array("i")
-    kernel(states, index, cost, offsets, targets, effects, cap, compiled.all_actions,
+    kernel(states, index, cost, offsets, targets, problem.effects, cap, compiled.all_actions,
            tuple(table for _, table in compiled.tables))
     pos, neg = problem.goal_pos, problem.goal_neg
     goal_flags = bytearray(s & pos == pos and not s & neg for s in states)

@@ -13,15 +13,15 @@ states, which is the action that linked them.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Callable
 
 from .novelty import NoveltyTable, TupleSet, all_tuples_up_to
-from .strips import GroundProblem, State, applicable_actions, is_goal
+from .strips import GroundProblem, State, applicable_actions
 
 GoalTest = Callable[[State], bool]
 
@@ -103,15 +103,21 @@ def _bfs(
         raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
     t0 = time.perf_counter()
     if goal_test is None:
-        goal_test = partial(is_goal, problem)
-    stats = SearchStats(generated=1)
+        pos, neg = problem.goal_pos, problem.goal_neg
+
+        def goal_test(s: State) -> bool:
+            return s & pos == pos and not s & neg
     root = problem.init if start is None else start
-    actions = problem.actions
+    effects = problem.effects
     parent: dict[State, State | None] = {root: None}
     queue: deque[State] = deque([root])
+    popleft, push = queue.popleft, queue.append
+    limit = math.inf if max_nodes is None else max_nodes
+    expanded = pruned = 0
+    generated = 1
 
     def done(outcome: Outcome, reason: str | None = None, goal: State | None = None):
-        stats.wall_ms = (time.perf_counter() - t0) * 1000.0
+        stats = SearchStats(expanded, generated, pruned, (time.perf_counter() - t0) * 1000.0)
         plan = None
         if goal is not None:
             plan = []
@@ -119,31 +125,31 @@ def _bfs(
             while p is not None:
                 plan.append(next(
                     aid for aid in applicable_actions(problem, p)
-                    if (p & ~actions[aid].delete) | actions[aid].add == c
+                    if p & effects[aid][0] | effects[aid][1] == c
                 ))
                 c, p = p, parent[p]
             plan.reverse()
         return SearchResult(outcome, plan, stats, reason=reason, goal_state=goal)
 
     while queue:
-        s = queue.popleft()
+        s = popleft()
         if goal_test(s):
             return done(Outcome.SOLVED, goal=s)
         if accept is not None:
             p = parent[s]
             if not accept(s, s if p is None else s ^ p):
-                stats.pruned += 1
+                pruned += 1
                 continue
-        stats.expanded += 1
+        expanded += 1
         aids = applicable_actions(problem, s)
-        stats.generated += len(aids)
+        generated += len(aids)
         for aid in aids:
-            act = actions[aid]
-            succ = (s & ~act.delete) | act.add
+            keep, add = effects[aid]
+            succ = s & keep | add
             if succ not in parent:
                 parent[succ] = s
-                queue.append(succ)
-        if max_nodes is not None and stats.generated > max_nodes:
+                push(succ)
+        if generated > limit:
             return done(Outcome.FAILURE, f"node limit {max_nodes} exceeded")
 
     if accept is None:

@@ -128,7 +128,7 @@ def run_policy(problem: GroundProblem, sketch: Sketch, phi: FeatureSet) -> Polic
     never valued."""
     read = sketch.read
     bound = phi.select(sketch.names_kinds).select(read.names_kinds)  # checks the whole header
-    acts = problem.actions
+    effects = problem.effects
     s = problem.init
     states = [s]
     actions: list[int] = []
@@ -145,8 +145,8 @@ def run_policy(problem: GroundProblem, sketch: Sketch, phi: FeatureSet) -> Polic
         expanded += 1
         generated += len(aids)
         for aid in aids:
-            act = acts[aid]
-            succ = (s & ~act.delete) | act.add
+            keep, add = effects[aid]
+            succ = s & keep | add
             if relation(read, values, bound.valuation(problem, succ)):
                 break
         else:

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import zlib
+from collections import deque
 from math import comb
 from types import SimpleNamespace
 
@@ -261,16 +262,20 @@ def test_expansion_counts_montone_without_duplicates():
     lambda g, bundle: bfs_optimal(g),
 ], ids=["iw_k", "iw_t", "iw_phi", "bfs_optimal"])
 def test_goal_test_never_sees_a_state_twice(search, monkeypatch):
-    # a successor already generated is dropped, so no state is dequeued twice
+    # a successor already generated is dropped, so no state is dequeued
+    # twice; the goal test sees each dequeued state once, so the queue's
+    # pops are recorded
     bundle = domains.blocks_clear(3)
     g = ground_bundle(bundle)
     seen = []
 
-    def recording_goal(problem, s):
-        seen.append(s)
-        return is_goal(problem, s)
+    class RecordingQueue(deque):
+        def popleft(self):
+            s = super().popleft()
+            seen.append(s)
+            return s
 
-    monkeypatch.setattr(search_module, "is_goal", recording_goal)
+    monkeypatch.setattr(search_module, "deque", RecordingQueue)
     assert search(g, bundle).solved
     assert len(seen) == len(set(seen)) > 1
 
